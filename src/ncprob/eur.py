@@ -5,6 +5,10 @@ analytic lower bounds on the entropy sum (overlap-based and
 projector-sum-based), a seeded multi-start minimiser for the entropy sum
 over pure states, and a certificate object tying it all together.
 
+Both bounds come from one overlap table, c = max ||P_i Q_j|| over cell
+pairs: Maassen-Uffink is -2 ln c and, as ||P + Q|| = 1 + ||P Q|| for
+orthogonal projections, the projector-sum bound is 2 ln(2/(1 + c)).
+
 A certificate's verdict rests on the analytic bounds alone.  The numeric
 infimum is corroborating evidence and the commutator norm is an
 independent cross-check; neither feeds the verdict.
@@ -30,7 +34,6 @@ from .hilbert import (
     _as_density,
     _clustered_eigensystem,
     commutator_norm,
-    operator_norm,
     spectral_pvm,
 )
 
@@ -173,17 +176,16 @@ def _partition_projectors(pvm: PVM, part: SpectrumPartition) -> list[np.ndarray]
 
 
 def _partition_isometries(
-    op: HermitianOperator, part: SpectrumPartition
+    op: HermitianOperator, part: SpectrumPartition | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvector matrix of ``op`` plus, per column, the index of the
-    partition cell its eigenvalue belongs to."""
+    partition cell its eigenvalue belongs to (its spectral cell when
+    ``part`` is None)."""
     cells = _clustered_eigensystem(op, None)
-    assignment = _assign_to_partition([c for c, _ in cells], part)
-    blocks, idx = [], []
-    for k, (_, iso) in zip(assignment, cells):
-        blocks.append(iso)
-        idx.extend([k] * iso.shape[1])
-    return np.column_stack(blocks), np.asarray(idx)
+    labels = [c for c, _ in cells]
+    assignment = range(len(cells)) if part is None else _assign_to_partition(labels, part)
+    widths = [iso.shape[1] for _, iso in cells]
+    return np.column_stack([iso for _, iso in cells]), np.repeat(list(assignment), widths)
 
 
 def partition_probabilities(state, pvm: PVM, part: SpectrumPartition) -> Distribution:
@@ -210,13 +212,24 @@ def epsilon_entropy(state, op: HermitianOperator, part: SpectrumPartition) -> fl
 # analytic bounds
 
 
-def _grouped_projectors(
-    op: HermitianOperator, part: SpectrumPartition | None
-) -> list[np.ndarray]:
-    pvm = spectral_pvm(op)
-    if part is None:
-        return list(pvm.projectors)
-    return _partition_projectors(pvm, part)
+def _analytic_bounds(a, b, eps, delta) -> tuple[float, float]:
+    """(Maassen-Uffink, Partovi) from the largest cell-pair overlap c:
+    ||P_i Q_j|| is the spectral norm of the (i, j) cell block of the
+    overlap table W_A* W_B, so no d x d projector is formed."""
+    if a.dim != b.dim:
+        raise PartitionError(f"operator dims differ: {a.dim} vs {b.dim}")
+    wa, idx_a = _partition_isometries(a, eps)
+    wb, idx_b = _partition_isometries(b, delta)
+    g = wa.conj().T @ wb
+    c = max(
+        float(np.linalg.norm(g[idx_a == i][:, idx_b == j], 2))
+        for i in set(idx_a)
+        for j in set(idx_b)
+    )
+    if c > 1.0 + 1e-8:
+        raise ArithmeticError(f"projector overlap {c!r} exceeds 1 beyond tolerance")
+    c = min(c, 1.0)
+    return -2.0 * math.log(c) + 0.0, 2.0 * math.log(2.0 / (1.0 + c))  # + 0.0: no -0.0
 
 
 def maassen_uffink_bound(
@@ -232,15 +245,7 @@ def maassen_uffink_bound(
     overlap |<phi_a|psi_b>|).  With partitions the projectors are first
     coarse-grained, which can only lower the bound.
     """
-    if a.dim != b.dim:
-        raise PartitionError(f"operator dims differ: {a.dim} vs {b.dim}")
-    ps = _grouped_projectors(a, eps)
-    qs = _grouped_projectors(b, delta)
-    c = max(operator_norm(p @ q) for p in ps for q in qs)
-    if c > 1.0 + 1e-8:
-        raise ArithmeticError(f"projector overlap {c!r} exceeds 1 beyond tolerance")
-    c = min(c, 1.0)
-    return -2.0 * math.log(c) + 0.0  # + 0.0 normalises -0.0
+    return _analytic_bounds(a, b, eps, delta)[0]
 
 
 def partovi_bound(
@@ -252,16 +257,11 @@ def partovi_bound(
     """Projector-sum lower bound on the partitioned entropy sum:
     2 ln(2/s) with s the largest eigenvalue of any P_i + Q_j.
 
-    s lies in [1, 2]; it reaches 2 exactly when some cell pair shares a
-    common eigenvector, making the bound 0.
+    s = 1 + c with c the Maassen-Uffink overlap, as ||P + Q|| = 1 + ||P Q||
+    for orthogonal projections.  Since c <= 1, 2/(1 + c) <= 1/c, so this never
+    exceeds Maassen-Uffink; both are 0 when a cell pair shares an eigenvector.
     """
-    ps = _grouped_projectors(a, eps)
-    qs = _grouped_projectors(b, delta)
-    s = max(float(np.linalg.eigvalsh(p + q).max()) for p in ps for q in qs)
-    if s > 2.0 + 1e-8 or s < 1.0 - 1e-8:
-        raise ArithmeticError(f"projector-sum norm {s!r} left [1, 2]")
-    s = min(max(s, 1.0), 2.0)
-    return 2.0 * math.log(2.0 / s) + 0.0  # + 0.0 normalises -0.0
+    return _analytic_bounds(a, b, eps, delta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +283,8 @@ class MinEntropyResult:
     """Best entropy sum found, with the evidence needed to reproduce it.
 
     Iterating yields ``(value, state)`` so the result unpacks like a pair.
-    ``value`` is the exact entropy sum of ``state``, hence always an upper
-    estimate of the true infimum.
+    ``value`` is the exact entropy sum of ``state``, clamped at 0.0, hence
+    always an upper estimate of the true infimum.
     """
 
     value: float
@@ -367,7 +367,7 @@ def min_entropy_sum(
     if pivot != 0:
         psi = psi * (pivot.conjugate() / abs(pivot))
     return MinEntropyResult(
-        value=best_val,
+        value=max(best_val, 0.0) + 0.0,  # + 0.0 normalises -0.0
         state=PureState(psi),
         converged=best_ok,
         restarts=opt.restarts,
@@ -435,8 +435,7 @@ def certify_noncommutativity(
     verdict inherits their partition dependence: a coarse partition can
     leave a genuinely non-commuting pair ``"inconclusive"``.
     """
-    mu = maassen_uffink_bound(a, b, eps, delta)
-    pv = partovi_bound(a, b, eps, delta)
+    mu, pv = _analytic_bounds(a, b, eps, delta)
     numeric = min_entropy_sum(a, b, eps, delta, opt)
     cn = commutator_norm(a, b)
     best = max(mu, pv)

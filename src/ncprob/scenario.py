@@ -333,6 +333,8 @@ class TaskDef:
 
 def _ref(scenario: Scenario, section: str, key: str, where: str):
     table = getattr(scenario, section)
+    if not isinstance(key, str):
+        raise ScenarioError(f"must name a {section[:-1]}, got {key!r}", field=where)
     if key not in table:
         raise ScenarioError(f"references unknown {section[:-1]} {key!r}", field=where)
     return table[key]

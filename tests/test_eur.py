@@ -10,6 +10,7 @@ from helpers import (
     merged_partition,
     random_density,
     random_hermitian,
+    random_unitary,
     singleton_partition,
 )
 from ncprob import (
@@ -257,6 +258,62 @@ class TestPartovi:
         a, b = pauli_pair()
         whole = SpectrumPartition.single_cell([-1.0, 1.0])
         assert abs(partovi_bound(a, b, whole, whole)) <= 1e-9
+
+
+SPECTRA = ("generic", "degenerate", "near_degenerate")
+
+
+def _spectrum(rng, dim, kind):
+    """Eigenvalues for the oracle pairs: generic, exactly degenerate, or
+    with one pair split by a gap above or below the clustering tolerance."""
+    if kind == "degenerate":
+        return rng.choice([-1.0, 0.5, 2.0], size=dim)
+    vals = rng.uniform(-3.0, 3.0, size=dim)
+    if kind == "near_degenerate":
+        vals[1] = vals[0] + rng.choice([1e-6, 1e-10])
+    return vals
+
+
+def _oracle_projectors(op, part):
+    """One explicit d x d projector per partition cell, from numpy's eigh."""
+    w, v = np.linalg.eigh(op.matrix)
+    values = [(u, i) for i, c in enumerate(part.cells) for u in c.values]
+    cell = np.array([min(values, key=lambda ui: abs(ui[0] - x))[1] for x in w])
+    return [v[:, cell == i] @ v[:, cell == i].conj().T for i in range(len(part))]
+
+
+class TestOverlapTableOracle:
+    """Both bounds against projector-level oracles built in the test."""
+
+    @pytest.mark.parametrize("kind", SPECTRA)
+    @pytest.mark.parametrize("grain", ["singleton", "merged", "single_cell"])
+    def test_bounds_match_projector_oracles(self, kind, grain):
+        rng = np.random.default_rng(70 + SPECTRA.index(kind))
+        for _ in range(12):
+            dim = int(rng.integers(2, 7))
+            a, b = (
+                HermitianOperator(u @ np.diag(_spectrum(rng, dim, kind)) @ u.conj().T)
+                for u in (random_unitary(rng, dim), random_unitary(rng, dim))
+            )
+            if grain == "singleton":
+                ea, eb = singleton_partition(a), singleton_partition(b)
+            elif grain == "merged":
+                ea, eb = merged_partition(a, rng), merged_partition(b, rng)
+            else:
+                ea, eb = (
+                    SpectrumPartition.single_cell(singleton_partition(op).ground_values())
+                    for op in (a, b)
+                )
+            ps, qs = _oracle_projectors(a, ea), _oracle_projectors(b, eb)
+            c = max(float(np.linalg.norm(p @ q, 2)) for p in ps for q in qs)
+            s = max(float(np.linalg.eigvalsh(p + q)[-1]) for p in ps for q in qs)
+            mu = maassen_uffink_bound(a, b, ea, eb)
+            pv = partovi_bound(a, b, ea, eb)
+            assert abs(mu - (-2.0 * math.log(min(c, 1.0)))) <= 1e-12
+            assert abs(pv - 2.0 * math.log(2.0 / min(s, 2.0))) <= 1e-12
+            assert pv <= mu + 1e-12
+            if grain == "singleton":
+                assert abs(maassen_uffink_bound(a, b) - mu) <= 1e-12
 
 
 class TestMinEntropySum:

@@ -103,6 +103,17 @@ class TestShippedScenarios:
         assert cert["verdict"] == "noncommuting"
         assert cert["maassen_uffink"] == pytest.approx(math.log(6.0), abs=1e-9)
 
+    def test_pauli_coarse_infimum_is_exactly_zero(self, tmp_path):
+        run_scenario(SHIPPED["pauli"], out=tmp_path / "r.json")
+        report = json.loads((tmp_path / "r.json").read_text())
+        coarse = next(
+            item["result"]
+            for item in report["results"]
+            if item["task"] == "certify" and item["args"]["eps"] == "coarse"
+        )
+        assert coarse["numeric_infimum"] == 0.0
+        assert math.copysign(1.0, coarse["numeric_infimum"]) == 1.0
+
     def test_chsh_reaches_tsirelson(self, tmp_path):
         run_scenario(SHIPPED["chsh"], out=tmp_path / "r.json")
         report = json.loads((tmp_path / "r.json").read_text())
@@ -211,6 +222,16 @@ class TestValidationErrors:
         payload["tasks"] = [{"task": "mu_bound", "args": {"dist_x": "mu", "dist_y": "xi"}}]
         assert run_scenario(write_scenario(tmp_path, payload)) == 2
         assert "xi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arg", ["dist_y", "eps"])
+    @pytest.mark.parametrize("bad", [[], {}], ids=["list", "dict"])
+    def test_non_string_reference_exits_2_naming_the_field(self, tmp_path, capsys, arg, bad):
+        payload = copy.deepcopy(MINIMAL)
+        payload["tasks"][1]["args"][arg] = bad
+        assert main(["run", str(write_scenario(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert f"tasks[1].args.{arg}" in err
+        assert "Traceback" not in err
 
 
 class TestRuntimeErrors:
