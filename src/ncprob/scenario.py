@@ -43,6 +43,12 @@ RESTARTS_ENV_VAR = "NCPROB_RESTARTS"
 
 TOOL_NAME = "ncprob"
 
+#: Largest accepted scenario dimension: a d x d complex unitary at this
+#: size is 16 MiB, while an unchecked d can ask for terabytes at load.
+MAX_DIMENSION = 1024
+#: Largest accepted ``lln`` trial count (80 MB of draws).
+MAX_TRIALS = 10_000_000
+
 
 def _tool_version() -> str:
     from . import __version__
@@ -186,6 +192,8 @@ def load_scenario(path) -> Scenario:
     dimension = _expect(doc, "dimension", int, "scenario", required=True)
     if isinstance(dimension, bool) or dimension < 1:
         raise ScenarioError(f"dimension must be a positive integer, got {dimension!r}", field="dimension")
+    if dimension > MAX_DIMENSION:
+        raise ScenarioError(f"dimension {dimension} exceeds the limit {MAX_DIMENSION}", field="dimension")
 
     distributions = {}
     for dname, dspec in (_expect(doc, "distributions", dict, "scenario", default={}) or {}).items():
@@ -592,6 +600,10 @@ def _check_lln(scenario, args, where):
         )
     if not isinstance(args["trials"], int) or args["trials"] < 1:
         raise ScenarioError("trials must be a positive integer", field=f"{where}.args.trials")
+    if args["trials"] > MAX_TRIALS:
+        raise ScenarioError(
+            f"trials {args['trials']} exceeds the limit {MAX_TRIALS}", field=f"{where}.args.trials"
+        )
 
 
 def _run_joint_pvm(scenario, args, opt):
@@ -735,7 +747,7 @@ _register(
     _schema(
         space="sample space to draw from (required)",
         event="context whose frequency is tracked (required)",
-        trials="number of draws (required, positive integer)",
+        trials=f"number of draws (required, positive integer, at most {MAX_TRIALS:,})",
         seed="generator seed (optional, default 0)",
     ),
     _run_lln,

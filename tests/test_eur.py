@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from helpers import (
     conjugated_diagonal_pair,
@@ -31,6 +32,7 @@ from ncprob import (
     observable_from_distribution,
     partition_probabilities,
     partovi_bound,
+    shannon_entropy,
     spectral_pvm,
 )
 from ncprob.hilbert import PAULI_X, PAULI_Z, fourier_unitary
@@ -169,6 +171,26 @@ class TestEpsilonEntropy:
                 rho2, op, part
             )
             assert mixed >= split - 1e-10
+
+
+    @pytest.mark.parametrize("grain", ["singleton", "merged"])
+    @pytest.mark.parametrize("purity", ["pure", "mixed"])
+    def test_matches_the_projector_oracle_on_degenerate_spectra(self, grain, purity):
+        rng = np.random.default_rng(54)
+        for _ in range(15):
+            dim = int(rng.integers(3, 7))
+            vals = rng.uniform(-3.0, 3.0, size=dim)
+            vals[1] = vals[0]  # one doubly degenerate eigenvalue
+            u = random_unitary(rng, dim)
+            op = HermitianOperator(u @ np.diag(vals) @ u.conj().T)
+            part = singleton_partition(op) if grain == "singleton" else merged_partition(op, rng)
+            if purity == "pure":
+                v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                state = PureState(v / np.linalg.norm(v))
+            else:
+                state = random_density(rng, dim)
+            want = shannon_entropy(partition_probabilities(state, spectral_pvm(op), part))
+            assert abs(epsilon_entropy(state, op, part) - want) <= 1e-12
 
 
 class TestMaassenUffink:
@@ -359,6 +381,98 @@ class TestMinEntropySum:
             rho = random_density(rng, 2)
             mixed = epsilon_entropy(rho, a, PM) + epsilon_entropy(rho, b, PM)
             assert res.value <= mixed + 1e-6
+
+
+def captured_objective(monkeypatch, a, b, eps, delta):
+    """The (value, gradient) objective that min_entropy_sum hands to
+    L-BFGS-B, caught by wrapping scipy.optimize.minimize."""
+    real, seen = scipy.optimize.minimize, []
+
+    def spy(fun, x0, **kwargs):
+        seen.append(fun)
+        return real(fun, x0, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(scipy.optimize, "minimize", spy)
+        min_entropy_sum(a, b, eps, delta, OptimizerConfig(restarts=1, max_iters=1))
+    return seen[0]
+
+
+def central_differences(fun, z, h=1e-6):
+    return np.array([(fun(z + e)[0] - fun(z - e)[0]) / (2.0 * h) for e in h * np.eye(z.size)])
+
+
+def _gradient_case(kind, rng):
+    """(a, b, eps, delta) for the gradient checks."""
+    dim = int(rng.integers(3, 7))
+    spec = "degenerate" if kind == "degenerate" else "generic"
+    a, b = (
+        HermitianOperator(u @ np.diag(_spectrum(rng, dim, spec)) @ u.conj().T)
+        for u in (random_unitary(rng, dim), random_unitary(rng, dim))
+    )
+    if kind == "coarse":
+        return a, b, merged_partition(a, rng), merged_partition(b, rng)
+    if kind == "single_cell":
+        whole = SpectrumPartition.single_cell(singleton_partition(a).ground_values())
+        return a, b, whole, singleton_partition(b)
+    return a, b, singleton_partition(a), singleton_partition(b)
+
+
+class TestEntropySumGradient:
+    @pytest.mark.parametrize("kind", ["generic", "degenerate", "coarse", "single_cell"])
+    def test_matches_central_differences(self, monkeypatch, kind):
+        rng = np.random.default_rng(80)
+        for _ in range(6):
+            a, b, eps, delta = _gradient_case(kind, rng)
+            fun = captured_objective(monkeypatch, a, b, eps, delta)
+            z = rng.standard_normal(2 * a.dim) * rng.uniform(0.5, 2.0)
+            value, grad = fun(z)
+            num = central_differences(fun, z)
+            assert np.linalg.norm(grad - num) <= 1e-6 * np.linalg.norm(num)
+
+    def test_vanishes_when_both_partitions_are_single_cells(self, monkeypatch):
+        a, b = pauli_pair()
+        whole = SpectrumPartition.single_cell([-1.0, 1.0])
+        fun = captured_objective(monkeypatch, a, b, whole, whole)
+        value, grad = fun(np.random.default_rng(81).standard_normal(4))
+        assert abs(value) <= 1e-12
+        assert np.linalg.norm(grad) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("diagonal_first", [True, False])
+    def test_finite_at_an_eigenvector(self, monkeypatch, d, diagonal_first):
+        # At a basis vector p_k = 0 exactly for every other eigenvector of
+        # the diagonal operator: the entropy's derivative diverges there,
+        # but the gradient must stay finite, whichever side that operator is.
+        a, b = fourier_pair(d)
+        part = SpectrumPartition.singletons(range(1, d + 1))
+        pair = (a, b) if diagonal_first else (b, a)
+        fun = captured_objective(monkeypatch, *pair, part, part)
+        for k in range(d):
+            z = np.zeros(2 * d)
+            z[k] = 1.0
+            value, grad = fun(z)
+            assert value == pytest.approx(math.log(d), abs=1e-12)
+            assert np.all(np.isfinite(grad))
+
+    def test_d16_fourier_reaches_ln_d_in_few_evaluations(self, monkeypatch):
+        a, b = fourier_pair(16)
+        part = SpectrumPartition.singletons(range(1, 17))
+        real, counts = scipy.optimize.minimize, []
+
+        def counting(fun, x0, **kwargs):
+            def counted(z):
+                counts[-1] += 1
+                return fun(z)
+
+            return real(counted, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        for _ in range(2):
+            counts.append(0)
+            res = min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=8, max_iters=300, tol=1e-8))
+            assert abs(res.value - math.log(16)) <= 1e-9
+        assert 0 < counts[0] == counts[1] < 1000  # finite differences took 13,860
 
 
 class TestCertification:

@@ -3,12 +3,16 @@
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import ncprob
+from ncprob import scenario as scenario_module
 from ncprob.cli import main
 from ncprob.scenario import (
     RESTARTS_ENV_VAR,
@@ -233,6 +237,29 @@ class TestValidationErrors:
         assert f"tasks[1].args.{arg}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("dimension", [1025, 100_000])
+    def test_oversized_dimension_exits_2_before_any_allocation(
+        self, tmp_path, capsys, monkeypatch, dimension
+    ):
+        def no_unitary(*args):
+            raise AssertionError("the unitary was built for an oversized dimension")
+
+        monkeypatch.setattr(scenario_module, "_build_unitary", no_unitary)
+        payload = json.loads(SHIPPED["fourier2"].read_text())
+        payload["dimension"] = dimension
+        assert main(["run", str(write_scenario(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error: dimension:" in err
+        assert "Traceback" not in err
+
+    def test_oversized_trial_count_exits_2(self, tmp_path, capsys):
+        payload = json.loads(SHIPPED["die"].read_text())
+        payload["tasks"][2]["args"]["trials"] = scenario_module.MAX_TRIALS + 1
+        path = write_scenario(tmp_path, payload)
+        assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert "scenario error: tasks[2].args.trials:" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestRuntimeErrors:
     def test_failed_task_yields_exit_3_and_partial_report(self, tmp_path):
@@ -295,6 +322,26 @@ class TestCommandLine:
         assert main(["run", "die"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["scenario"] == "die"
+
+    def test_scenarios_without_an_optimizer_never_import_scipy_optimize(self, tmp_path):
+        # scipy.optimize costs about 0.45 s per process; only certify needs it.
+        code = (
+            "import sys\n"
+            "import ncprob\n"
+            "assert 'scipy.optimize' not in sys.modules, 'import ncprob'\n"
+            "from ncprob.cli import main\n"
+            "for name in ('die', 'chsh', 'interference'):\n"
+            "    assert main(['run', name, '--out', sys.argv[1]]) == 0, name\n"
+            "    assert 'scipy.optimize' not in sys.modules, name\n"
+        )
+        src = str(Path(ncprob.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "r.json")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_installed_entry_point(self):
         proc = subprocess.run(
