@@ -110,8 +110,11 @@ class RandomVariable:
     values: Mapping[Outcome, float]
 
     def __init__(self, name: str, values: Mapping[Outcome, float]):
+        table = {k: float(v) for k, v in values.items()}
+        if any(not math.isfinite(v) for v in table.values()):
+            raise ValueError(f"values of {name} must be finite")
         object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "values", {k: float(v) for k, v in values.items()})
+        object.__setattr__(self, "values", table)
 
     def __call__(self, outcome: Outcome) -> float:
         try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .classical import (
     FiniteProbabilitySpace,
     RandomVariable,
     condition,
-    pushforward,
 )
 from .errors import DimensionError, DomainError
 from .hilbert import HermitianOperator, matrix_of

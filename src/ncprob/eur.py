@@ -17,7 +17,7 @@ independent cross-check; neither feeds the verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .classical import Distribution, shannon_entropy
 from .errors import PartitionError
 from .hilbert import (
     PVM,
-    DensityOperator,
     HermitianOperator,
     PureState,
     SpectralCell,

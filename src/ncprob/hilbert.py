@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 

@@ -7,6 +7,9 @@ a report whose numeric content is deterministic byte-for-byte for a
 fixed scenario, seed, and platform; wall-clock readings are isolated in
 a trailing ``timing`` section so they can be excluded from comparisons.
 
+Task arguments and optimizer fields are declared in tables of kinds that
+one checker reads; the same kinds check ``dimension`` and the overrides.
+
 Floats are emitted with 17 significant digits (lossless for binary64);
 complex entries appear as two-element ``[re, im]`` arrays.
 """
@@ -17,7 +20,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -25,6 +28,7 @@ import numpy as np
 
 from . import construct, eur, hilbert
 from .classical import (
+    DEFAULT_LLN_SEED,
     Distribution,
     Event,
     FiniteProbabilitySpace,
@@ -35,7 +39,7 @@ from .classical import (
 )
 from .errors import ScenarioError
 from .eur import OptimizerConfig, SpectrumPartition
-from .hilbert import DensityOperator, HermitianOperator, PureState
+from .hilbert import DensityOperator, PureState
 
 #: Environment variable overriding the optimizer restart count for a CLI
 #: run.  Takes precedence over the scenario file's value.
@@ -48,12 +52,127 @@ TOOL_NAME = "ncprob"
 MAX_DIMENSION = 1024
 #: Largest accepted ``lln`` trial count (80 MB of draws).
 MAX_TRIALS = 10_000_000
+#: Largest accepted optimizer restart count, from the file or the
+#: environment: each restart is a full L-BFGS-B run, so an unchecked
+#: count can keep a run busy for hours.
+MAX_RESTARTS = 1024
+
+#: What the model constructors raise on a malformed value (OverflowError:
+#: an integer literal beyond the float range).
+_BAD_VALUE = (ValueError, TypeError, OverflowError)
 
 
 def _tool_version() -> str:
     from . import __version__
 
     return __version__
+
+
+# ---------------------------------------------------------------------------
+# field kinds and the one checker
+
+
+@dataclass(frozen=True)
+class Ref:
+    """The name of an entry in a scenario section; with ``of_dimension``
+    the named distribution must also have one value per basis vector."""
+
+    section: str
+    of_dimension: bool = False
+
+    def check(self, value, field: str, scenario) -> None:
+        table, noun, d = getattr(scenario, self.section), self.section[:-1], scenario.dimension
+        if not isinstance(value, str):
+            raise ScenarioError(f"must name a {noun}, got {value!r}", field=field)
+        if value not in table:
+            raise ScenarioError(f"references unknown {noun} {value!r}", field=field)
+        if self.of_dimension and len(table[value]) != d:
+            raise ScenarioError(f"{noun} {value!r} has {len(table[value])} values, not dimension {d}", field=field)
+
+    def __str__(self) -> str:
+        text = f"name in '{self.section}'"
+        return text + " with one value per dimension" if self.of_dimension else text
+
+
+@dataclass(frozen=True)
+class Number:
+    """A finite JSON number (not a boolean), >= 0, or > 0 when ``positive``."""
+
+    positive: bool = False
+
+    def check(self, value, field: str, scenario=None) -> None:
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number; an integer beyond the float range
+            ok = False
+        if not (ok and (value > 0 if self.positive else value >= 0)):
+            raise ScenarioError(f"must be a {self}, got {value!r}", field=field)
+
+    def __str__(self) -> str:
+        return "finite number > 0" if self.positive else "finite number >= 0"
+
+
+@dataclass(frozen=True)
+class Integer:
+    """A JSON integer (not a boolean) in [lo, hi]."""
+
+    lo: int
+    hi: float = math.inf
+
+    def check(self, value, field: str, scenario=None) -> None:
+        if isinstance(value, bool) or not isinstance(value, int) or not self.lo <= value <= self.hi:
+            raise ScenarioError(f"must be an {self}, got {value!r}", field=field)
+
+    def __str__(self) -> str:
+        return f"integer >= {self.lo}" if self.hi == math.inf else f"integer in [{self.lo}, {self.hi:,}]"
+
+
+@dataclass(frozen=True)
+class Choice:
+    """One of a fixed set of strings."""
+
+    options: tuple
+
+    def check(self, value, field: str, scenario=None) -> None:
+        if value not in self.options:
+            raise ScenarioError(f"must be {self}, got {value!r}", field=field)
+
+    def __str__(self) -> str:
+        return "one of " + ", ".join(repr(o) for o in self.options)
+
+
+@dataclass(frozen=True)
+class Arg:
+    """One declared field: its kind, its help text, and whether it is required."""
+
+    kind: Ref | Number | Integer | Choice
+    help: str
+    required: bool = True
+
+
+def _check_fields(table: dict, given: dict, where: str, scenario=None) -> dict:
+    """Check ``given`` against ``table`` (name -> :class:`Arg`): no unknown
+    names, no missing required ones, every value of its kind.  Errors name
+    ``<where>.<name>``.  Returns the given fields in table order."""
+    for name in given:
+        if name not in table:
+            raise ScenarioError(f"unknown field; known: {list(table)}", field=f"{where}.{name}")
+    for name, arg in table.items():
+        if name in given:
+            arg.kind.check(given[name], f"{where}.{name}", scenario)
+        elif arg.required:
+            raise ScenarioError("required field missing", field=f"{where}.{name}")
+    return {name: given[name] for name in table if name in given}
+
+
+#: The ``optimizer`` section; every field is optional (defaults from
+#: :class:`OptimizerConfig`).
+_OPTIMIZER_FIELDS = {
+    "restarts": Arg(Integer(1, MAX_RESTARTS), "multi-start count", required=False),
+    "max_iters": Arg(Integer(1), "L-BFGS-B iteration cap per restart", required=False),
+    "tol": Arg(Number(positive=True), "convergence tolerance", required=False),
+    "seed": Arg(Integer(0), "seed of the restart generator", required=False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +205,18 @@ class Scenario:
     def effective_optimizer(self, seed_override: int | None = None) -> OptimizerConfig:
         """The optimizer config after CLI/environment overrides."""
         cfg = self.optimizer
-        restarts = cfg.restarts
         env = os.environ.get(RESTARTS_ENV_VAR)
         if env is not None:
             try:
                 restarts = int(env)
             except ValueError:
-                raise ScenarioError(
-                    f"environment override {RESTARTS_ENV_VAR}={env!r} is not an integer"
-                ) from None
-            if restarts < 1:
-                raise ScenarioError(f"{RESTARTS_ENV_VAR} must be >= 1, got {restarts}")
-        seed = cfg.seed if seed_override is None else int(seed_override)
-        return OptimizerConfig(
-            restarts=restarts, max_iters=cfg.max_iters, tol=cfg.tol, seed=seed
-        )
+                raise ScenarioError(f"{env!r} is not an integer", field=RESTARTS_ENV_VAR) from None
+            _OPTIMIZER_FIELDS["restarts"].kind.check(restarts, RESTARTS_ENV_VAR)
+            cfg = replace(cfg, restarts=restarts)
+        if seed_override is not None:
+            _OPTIMIZER_FIELDS["seed"].kind.check(seed_override, "--seed")
+            cfg = replace(cfg, seed=seed_override)
+        return cfg
 
 
 def _parse_outcome(value):
@@ -152,7 +268,7 @@ def _build_unitary(spec, dimension: int) -> tuple[str, np.ndarray]:
         try:
             rows = [[complex(re, im) for re, im in row] for row in entries]
             m = np.asarray(rows, dtype=complex)
-        except (TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             raise ScenarioError(
                 f"entries must be rows of [re, im] pairs ({exc})", field="unitary.entries"
             ) from None
@@ -183,20 +299,17 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file {p}: {exc}", field="path")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"not valid JSON: {exc}", field=str(p))
+    except (ValueError, RecursionError) as exc:  # ValueError: also over-long integer literals
+        raise ScenarioError(f"not valid JSON: {exc}", field=str(p)) from None
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be an object", field=str(p))
 
     name = _expect(doc, "name", str, "scenario", required=True)
-    dimension = _expect(doc, "dimension", int, "scenario", required=True)
-    if isinstance(dimension, bool) or dimension < 1:
-        raise ScenarioError(f"dimension must be a positive integer, got {dimension!r}", field="dimension")
-    if dimension > MAX_DIMENSION:
-        raise ScenarioError(f"dimension {dimension} exceeds the limit {MAX_DIMENSION}", field="dimension")
+    dimension = _expect(doc, "dimension", None, "scenario", required=True)
+    Integer(1, MAX_DIMENSION).check(dimension, "dimension")
 
     distributions = {}
-    for dname, dspec in (_expect(doc, "distributions", dict, "scenario", default={}) or {}).items():
+    for dname, dspec in _expect(doc, "distributions", dict, "scenario", default={}).items():
         where = f"distributions.{dname}"
         if not isinstance(dspec, dict):
             raise ScenarioError("must be an object with support/probs", field=where)
@@ -204,11 +317,11 @@ def load_scenario(path) -> Scenario:
         probs = _expect(dspec, "probs", list, where, required=True)
         try:
             distributions[dname] = Distribution(support, probs)
-        except (ValueError, TypeError) as exc:
+        except _BAD_VALUE as exc:
             raise ScenarioError(str(exc), field=where) from None
 
     spaces = {}
-    for sname, sspec in (_expect(doc, "spaces", dict, "scenario", default={}) or {}).items():
+    for sname, sspec in _expect(doc, "spaces", dict, "scenario", default={}).items():
         where = f"spaces.{sname}"
         if not isinstance(sspec, dict):
             raise ScenarioError("must be an object with outcomes/weights", field=where)
@@ -216,11 +329,11 @@ def load_scenario(path) -> Scenario:
         weights = _expect(sspec, "weights", list, where, required=True)
         try:
             spaces[sname] = FiniteProbabilitySpace(outcomes, weights)
-        except (ValueError, TypeError) as exc:
+        except _BAD_VALUE as exc:
             raise ScenarioError(str(exc), field=where) from None
 
     variables = {}
-    for vname, vspec in (_expect(doc, "variables", dict, "scenario", default={}) or {}).items():
+    for vname, vspec in _expect(doc, "variables", dict, "scenario", default={}).items():
         where = f"variables.{vname}"
         if not isinstance(vspec, dict):
             raise ScenarioError("must be an object with space/values", field=where)
@@ -231,7 +344,7 @@ def load_scenario(path) -> Scenario:
         table = {_parse_outcome(k): v for k, v in values.items()}
         try:
             rv = RandomVariable(vname, table)
-        except (ValueError, TypeError) as exc:
+        except _BAD_VALUE as exc:
             raise ScenarioError(str(exc), field=f"{where}.values") from None
         missing = [o for o in spaces[space_name].outcomes if o not in rv.values]
         if missing:
@@ -244,7 +357,7 @@ def load_scenario(path) -> Scenario:
     unitary_kind, unitary = _build_unitary(doc.get("unitary"), dimension)
 
     partitions = {}
-    for pname, groups in (_expect(doc, "partitions", dict, "scenario", default={}) or {}).items():
+    for pname, groups in _expect(doc, "partitions", dict, "scenario", default={}).items():
         where = f"partitions.{pname}"
         if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
             raise ScenarioError("must be a list of value groups", field=where)
@@ -254,7 +367,7 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(str(exc), field=where) from None
 
     contexts = {}
-    for cname, members in (_expect(doc, "contexts", dict, "scenario", default={}) or {}).items():
+    for cname, members in _expect(doc, "contexts", dict, "scenario", default={}).items():
         where = f"contexts.{cname}"
         if not isinstance(members, list):
             raise ScenarioError("must be a list of outcomes", field=where)
@@ -273,21 +386,12 @@ def load_scenario(path) -> Scenario:
             alpha_tilde = _expect(kspec, "alpha_tilde", list, "kernel", required=True)
             try:
                 kernel = construct.TransitionKernel(alpha, alpha_tilde)
-            except (ValueError, TypeError) as exc:
+            except _BAD_VALUE as exc:
                 raise ScenarioError(str(exc), field="kernel") from None
 
-    ospec = _expect(doc, "optimizer", dict, "scenario", default={}) or {}
-    try:
-        optimizer = OptimizerConfig(
-            restarts=int(ospec.get("restarts", OptimizerConfig.restarts)),
-            max_iters=int(ospec.get("max_iters", OptimizerConfig.max_iters)),
-            tol=float(ospec.get("tol", OptimizerConfig.tol)),
-            seed=int(ospec.get("seed", OptimizerConfig.seed)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(str(exc), field="optimizer") from None
-    if optimizer.restarts < 1 or optimizer.max_iters < 1:
-        raise ScenarioError("restarts and max_iters must be >= 1", field="optimizer")
+    ospec = _expect(doc, "optimizer", dict, "scenario", default={})
+    _check_fields(_OPTIMIZER_FIELDS, ospec, "optimizer")
+    optimizer = OptimizerConfig(**ospec)
 
     tasks = []
     raw_tasks = _expect(doc, "tasks", list, "scenario", required=True)
@@ -296,7 +400,7 @@ def load_scenario(path) -> Scenario:
         if not isinstance(tspec, dict):
             raise ScenarioError("each task must be an object", field=where)
         tname = _expect(tspec, "task", str, where, required=True)
-        targs = _expect(tspec, "args", dict, where, default={}) or {}
+        targs = _expect(tspec, "args", dict, where, default={})
         extra = set(tspec) - {"task", "args"}
         if extra:
             raise ScenarioError(f"unknown keys {sorted(extra)}", field=where)
@@ -332,43 +436,10 @@ def load_scenario(path) -> Scenario:
 
 @dataclass(frozen=True)
 class TaskDef:
-    name: str
     summary: str
-    arg_schema: dict  # arg name -> (kind, required: bool, help)
-    run: Callable
-    check: Callable | None = None  # extra validation: (scenario, args, where) -> None
-
-
-def _ref(scenario: Scenario, section: str, key: str, where: str):
-    table = getattr(scenario, section)
-    if not isinstance(key, str):
-        raise ScenarioError(f"must name a {section[:-1]}, got {key!r}", field=where)
-    if key not in table:
-        raise ScenarioError(f"references unknown {section[:-1]} {key!r}", field=where)
-    return table[key]
-
-
-def _need_dim(scenario: Scenario, dist: Distribution, name: str, where: str):
-    if len(dist) != scenario.dimension:
-        raise ScenarioError(
-            f"distribution {name!r} has {len(dist)} values but the scenario dimension is "
-            f"{scenario.dimension}",
-            field=where,
-        )
-
-
-def _check_partition_covers(part: SpectrumPartition, dist: Distribution, pname: str, dname: str, where: str):
-    ground = set(part.ground_values())
-    support = set(dist.support)
-    if ground != support:
-        missing = sorted(support - ground)
-        absent = sorted(ground - support)
-        bits = []
-        if absent:
-            bits.append(f"references values {absent} absent from the support of {dname!r}")
-        if missing:
-            bits.append(f"fails to cover support values {missing} of {dname!r}")
-        raise ScenarioError(f"partition {pname!r} " + "; ".join(bits), field=where)
+    args: dict  # argument name -> Arg, in the order `describe` lists them
+    run: Callable  # (scenario, args, opt) -> result mapping
+    check: Callable | None = None  # cross-field rule: (scenario, args in table order, where)
 
 
 def _operator_pair(scenario: Scenario, args, kx: str, ky: str):
@@ -378,23 +449,19 @@ def _operator_pair(scenario: Scenario, args, kx: str, ky: str):
     return construct.build_pair(pair)
 
 
-def _check_pair_task(scenario, args, where, kx="dist_x", ky="dist_y"):
-    dx = _ref(scenario, "distributions", args[kx], f"{where}.args.{kx}")
-    dy = _ref(scenario, "distributions", args[ky], f"{where}.args.{ky}")
-    _need_dim(scenario, dx, args[kx], f"{where}.args.{kx}")
-    _need_dim(scenario, dy, args[ky], f"{where}.args.{ky}")
-
-
-def _check_certify(scenario, args, where):
-    _check_pair_task(scenario, args, where)
-    eps = _ref(scenario, "partitions", args["eps"], f"{where}.args.eps")
-    delta = _ref(scenario, "partitions", args["delta"], f"{where}.args.delta")
-    _check_partition_covers(
-        eps, scenario.distributions[args["dist_x"]], args["eps"], args["dist_x"], f"{where}.args.eps"
-    )
-    _check_partition_covers(
-        delta, scenario.distributions[args["dist_y"]], args["delta"], args["dist_y"], f"{where}.args.delta"
-    )
+def _check_partitions(scenario, args, where):
+    """Each partition covers exactly the support of its operator's law."""
+    for pkey, dkey in (("eps", "dist_x"), ("delta", "dist_y")):
+        pname, dname = args[pkey], args[dkey]
+        ground = set(scenario.partitions[pname].ground_values())
+        support = set(scenario.distributions[dname].support)
+        if ground != support:
+            bits = []
+            if ground - support:
+                bits.append(f"references values {sorted(ground - support)} absent from the support of {dname!r}")
+            if support - ground:
+                bits.append(f"fails to cover support values {sorted(support - ground)} of {dname!r}")
+            raise ScenarioError(f"partition {pname!r} " + "; ".join(bits), field=f"{where}.{pkey}")
 
 
 def _run_entropy(scenario, args, opt):
@@ -412,16 +479,9 @@ def _run_entropy(scenario, args, opt):
 
 
 def _check_entropy(scenario, args, where):
-    has_d = "distribution" in args
-    has_v = "variable" in args
-    if has_d == has_v:
-        raise ScenarioError(
-            "exactly one of 'distribution' or 'variable' is required", field=f"{where}.args"
-        )
-    if has_d:
-        _ref(scenario, "distributions", args["distribution"], f"{where}.args.distribution")
-    else:
-        _ref(scenario, "variables", args["variable"], f"{where}.args.variable")
+    """Exactly one of the two arguments is given."""
+    if ("distribution" in args) == ("variable" in args):
+        raise ScenarioError("exactly one of 'distribution' or 'variable' is required", field=where)
 
 
 def _run_mu_bound(scenario, args, opt):
@@ -472,9 +532,6 @@ def _run_overlap(scenario, args, opt):
     }
 
 
-_CHSH_CONFIGS = ("tsirelson",)
-
-
 def _run_chsh(scenario, args, opt):
     a1 = np.kron(hilbert.PAULI_Z, np.eye(2))
     a2 = np.kron(hilbert.PAULI_X, np.eye(2))
@@ -487,15 +544,11 @@ def _run_chsh(scenario, args, opt):
 
 
 def _check_chsh(scenario, args, where):
-    if args["configuration"] not in _CHSH_CONFIGS:
-        raise ScenarioError(
-            f"unknown configuration {args['configuration']!r}; known: {list(_CHSH_CONFIGS)}",
-            field=f"{where}.args.configuration",
-        )
+    """The two-qubit configuration needs dimension 4."""
     if scenario.dimension != 4:
         raise ScenarioError(
             f"the tsirelson configuration lives on dimension 4, scenario has {scenario.dimension}",
-            field=f"{where}.args.configuration",
+            field=f"{where}.configuration",
         )
 
 
@@ -535,16 +588,6 @@ def _run_gns(scenario, args, opt):
     }
 
 
-def _check_gns(scenario, args, where):
-    if args["algebra"] not in ("full", "diagonal"):
-        raise ScenarioError(
-            f"algebra must be 'full' or 'diagonal', got {args['algebra']!r}",
-            field=f"{where}.args.algebra",
-        )
-    dist = _ref(scenario, "distributions", args["state"], f"{where}.args.state")
-    _need_dim(scenario, dist, args["state"], f"{where}.args.state")
-
-
 def _run_interference(scenario, args, opt):
     mu_xc = scenario.distributions[args["mu_xc"]]
     mu_yc = scenario.distributions[args["mu_yc"]]
@@ -552,17 +595,17 @@ def _run_interference(scenario, args, opt):
     return {"delta": delta, "sum": float(delta.sum())}
 
 
-def _check_kernel_task(scenario, args, where, keys):
+def _check_kernel(scenario, args, where):
+    """The scenario has a kernel, and the two laws, in table order, have its
+    row and column counts."""
     if scenario.kernel is None:
-        raise ScenarioError("task requires a 'kernel' section", field=f"{where}.args")
-    nx, ny = scenario.kernel.shape
-    sizes = (nx, ny)
-    for key, want in zip(keys, sizes):
-        dist = _ref(scenario, "distributions", args[key], f"{where}.args.{key}")
-        if len(dist) != want:
+        raise ScenarioError("task requires a 'kernel' section", field=where)
+    for (key, dname), want in zip(args.items(), scenario.kernel.shape):
+        size = len(scenario.distributions[dname])
+        if size != want:
             raise ScenarioError(
-                f"distribution {args[key]!r} has {len(dist)} values; kernel expects {want}",
-                field=f"{where}.args.{key}",
+                f"distribution {dname!r} has {size} values; kernel expects {want}",
+                field=f"{where}.{key}",
             )
 
 
@@ -576,8 +619,8 @@ def _run_bayes(scenario, args, opt):
 def _run_lln(scenario, args, opt):
     space = scenario.spaces[args["space"]]
     event = Event(scenario.contexts[args["event"]])
-    trials = int(args["trials"])
-    seed = int(args.get("seed", 0))
+    trials = args["trials"]
+    seed = args.get("seed", DEFAULT_LLN_SEED)
     freq = lln_frequency(space, event, trials, seed)
     prob = space.prob(event)
     return {
@@ -590,19 +633,13 @@ def _run_lln(scenario, args, opt):
 
 
 def _check_lln(scenario, args, where):
-    space = _ref(scenario, "spaces", args["space"], f"{where}.args.space")
-    members = _ref(scenario, "contexts", args["event"], f"{where}.args.event")
-    stray = [m for m in members if m not in space.outcomes]
+    """The context lies inside the space."""
+    space = scenario.spaces[args["space"]]
+    stray = [m for m in scenario.contexts[args["event"]] if m not in space.outcomes]
     if stray:
         raise ScenarioError(
             f"context {args['event']!r} references outcomes {stray!r} outside space {args['space']!r}",
-            field=f"{where}.args.event",
-        )
-    if not isinstance(args["trials"], int) or args["trials"] < 1:
-        raise ScenarioError("trials must be a positive integer", field=f"{where}.args.trials")
-    if args["trials"] > MAX_TRIALS:
-        raise ScenarioError(
-            f"trials {args['trials']} exceeds the limit {MAX_TRIALS}", field=f"{where}.args.trials"
+            field=f"{where}.event",
         )
 
 
@@ -634,141 +671,106 @@ def _run_dispersion_free(scenario, args, opt):
     }
 
 
-def _schema(**kw):
-    return kw
+_LAW = Ref("distributions", of_dimension=True)  # a law that becomes a d x d operator
+_PAIR = {"dist_x": Arg(_LAW, "law of the first operator"), "dist_y": Arg(_LAW, "law of the second operator")}
+_PARTITIONED_PAIR = {
+    **_PAIR,
+    "eps": Arg(Ref("partitions"), "partition of the first operator's spectrum, covering its support"),
+    "delta": Arg(Ref("partitions"), "partition of the second operator's spectrum, covering its support"),
+}
+_COMMUTING_PAIR = {"dist_a": Arg(_LAW, "first law"), "dist_b": Arg(_LAW, "second law")}
 
-
-TASKS: dict[str, TaskDef] = {}
-
-
-def _register(name, summary, arg_schema, run, check=None):
-    TASKS[name] = TaskDef(name, summary, arg_schema, run, check)
-
-
-_register(
-    "entropy",
-    "Law, mean and Shannon entropy (nats) of a named distribution, or of the pushforward of a named variable.",
-    _schema(
-        distribution="name of a distribution (exclusive with 'variable')",
-        variable="name of a variable; its pushforward law is reported",
+TASKS: dict[str, TaskDef] = {
+    "entropy": TaskDef(
+        "Law, mean and Shannon entropy (nats) of a named distribution, or of the pushforward of a named variable.",
+        {
+            "distribution": Arg(Ref("distributions"), "the law (give this or 'variable')", required=False),
+            "variable": Arg(Ref("variables"), "its pushforward law is reported (give this or 'distribution')", required=False),
+        },
+        _run_entropy,
+        _check_entropy,
     ),
-    _run_entropy,
-    _check_entropy,
-)
-_register(
-    "mu_bound",
-    "Overlap-based entropy bound for the operator pair built from two laws and the scenario unitary.",
-    _schema(dist_x="first law (required)", dist_y="second law (required)"),
-    _run_mu_bound,
-    _check_pair_task,
-)
-_register(
-    "partovi_bound",
-    "Projector-sum entropy bound at the named spectrum partitions.",
-    _schema(
-        dist_x="first law (required)",
-        dist_y="second law (required)",
-        eps="partition of the first spectrum (required)",
-        delta="partition of the second spectrum (required)",
+    "mu_bound": TaskDef(
+        "Overlap-based entropy bound for the operator pair built from two laws and the scenario unitary.",
+        _PAIR,
+        _run_mu_bound,
     ),
-    _run_partovi,
-    _check_certify,
-)
-_register(
-    "certify",
-    "Full non-commutativity certificate: analytic bounds at the partitions, seeded optimizer evidence, commutator cross-check, verdict.",
-    _schema(
-        dist_x="law of the first operator (required)",
-        dist_y="law of the second operator (required)",
-        eps="partition of the first operator's spectrum (required)",
-        delta="partition of the second operator's spectrum (required)",
+    "partovi_bound": TaskDef(
+        "Projector-sum entropy bound at the named spectrum partitions.",
+        _PARTITIONED_PAIR,
+        _run_partovi,
+        _check_partitions,
     ),
-    _run_certify,
-    _check_certify,
-)
-_register(
-    "build_pair",
-    "Operators (T_X, T_Y) from two laws and the scenario unitary, with spectrum and commutator norm.",
-    _schema(dist_x="first law (required)", dist_y="second law (required)"),
-    _run_build_pair,
-    _check_pair_task,
-)
-_register(
-    "overlap_check",
-    "Whether the scenario unitary's largest entry stays under exp(-target_bound/2).",
-    _schema(target_bound="entropy bound the pair should support (required, >= 0)"),
-    _run_overlap,
-    lambda sc, args, where: None
-    if isinstance(args["target_bound"], (int, float)) and float(args["target_bound"]) >= 0
-    else (_ for _ in ()).throw(
-        ScenarioError("target_bound must be a number >= 0", field=f"{where}.args.target_bound")
+    "certify": TaskDef(
+        "Full non-commutativity certificate: analytic bounds at the partitions, seeded optimizer evidence, commutator cross-check, verdict.",
+        _PARTITIONED_PAIR,
+        _run_certify,
+        _check_partitions,
     ),
-)
-_register(
-    "chsh",
-    "CHSH functional on a shipped two-qubit configuration.",
-    _schema(configuration="'tsirelson' (required)"),
-    _run_chsh,
-    _check_chsh,
-)
-_register(
-    "gns",
-    "Cyclic representation of the full or diagonal matrix algebra with a diagonal state built from a named law's probabilities.",
-    _schema(
-        algebra="'full' or 'diagonal' (required)",
-        state="law whose probabilities form the diagonal state (required)",
+    "build_pair": TaskDef(
+        "Operators (T_X, T_Y) from two laws and the scenario unitary, with spectrum and commutator norm.",
+        _PAIR,
+        _run_build_pair,
     ),
-    _run_gns,
-    _check_gns,
-)
-_register(
-    "interference",
-    "Total-probability defect delta(x) of the scenario kernel at two conditional laws.",
-    _schema(
-        mu_xc="conditional law of the first variable (required)",
-        mu_yc="conditional law of the second variable (required)",
+    "overlap_check": TaskDef(
+        "Whether the scenario unitary's largest entry stays under exp(-target_bound/2).",
+        {"target_bound": Arg(Number(), "entropy bound the pair should support")},
+        _run_overlap,
     ),
-    _run_interference,
-    lambda sc, args, where: _check_kernel_task(sc, args, where, ("mu_xc", "mu_yc")),
-)
-_register(
-    "bayes_delta",
-    "Bayes-rule violation matrix of the scenario kernel at two marginal laws.",
-    _schema(
-        mu_x="marginal law of the first variable (required)",
-        nu_y="marginal law of the second variable (required)",
+    "chsh": TaskDef(
+        "CHSH functional on a shipped two-qubit configuration.",
+        {"configuration": Arg(Choice(("tsirelson",)), "shipped configuration; needs dimension 4")},
+        _run_chsh,
+        _check_chsh,
     ),
-    _run_bayes,
-    lambda sc, args, where: _check_kernel_task(sc, args, where, ("mu_x", "nu_y")),
-)
-_register(
-    "lln",
-    "Empirical frequency of a context over seeded i.i.d. draws from a named space.",
-    _schema(
-        space="sample space to draw from (required)",
-        event="context whose frequency is tracked (required)",
-        trials=f"number of draws (required, positive integer, at most {MAX_TRIALS:,})",
-        seed="generator seed (optional, default 0)",
+    "gns": TaskDef(
+        "Cyclic representation of the full or diagonal matrix algebra with a diagonal state built from a named law's probabilities.",
+        {
+            "algebra": Arg(Choice(("full", "diagonal")), "the matrix algebra"),
+            "state": Arg(_LAW, "law whose probabilities form the diagonal state"),
+        },
+        _run_gns,
     ),
-    _run_lln,
-    _check_lln,
-)
-_register(
-    "joint_pvm",
-    "Joint spectral measure of the commuting pair built from two laws; errors when the pair does not commute.",
-    _schema(dist_a="first law (required)", dist_b="second law (required)"),
-    _run_joint_pvm,
-    lambda sc, args, where: _check_pair_task(sc, args, where, "dist_a", "dist_b"),
-)
-_register(
-    "dispersion_free",
-    "A joint eigenvector of the commuting pair built from two laws, with both dispersions.",
-    _schema(dist_a="first law (required)", dist_b="second law (required)"),
-    _run_dispersion_free,
-    lambda sc, args, where: _check_pair_task(sc, args, where, "dist_a", "dist_b"),
-)
-
-_OPTIONAL_ARGS = {("entropy", "distribution"), ("entropy", "variable"), ("lln", "seed")}
+    "interference": TaskDef(
+        "Total-probability defect delta(x) of the scenario kernel at two conditional laws.",
+        {
+            "mu_xc": Arg(Ref("distributions"), "conditional law of the first variable, one value per kernel row"),
+            "mu_yc": Arg(Ref("distributions"), "conditional law of the second variable, one value per kernel column"),
+        },
+        _run_interference,
+        _check_kernel,
+    ),
+    "bayes_delta": TaskDef(
+        "Bayes-rule violation matrix of the scenario kernel at two marginal laws.",
+        {
+            "mu_x": Arg(Ref("distributions"), "marginal law of the first variable, one value per kernel row"),
+            "nu_y": Arg(Ref("distributions"), "marginal law of the second variable, one value per kernel column"),
+        },
+        _run_bayes,
+        _check_kernel,
+    ),
+    "lln": TaskDef(
+        "Empirical frequency of a context over seeded i.i.d. draws from a named space.",
+        {
+            "space": Arg(Ref("spaces"), "sample space to draw from"),
+            "event": Arg(Ref("contexts"), "context whose frequency is tracked; its outcomes lie in the space"),
+            "trials": Arg(Integer(1, MAX_TRIALS), "number of draws"),
+            "seed": Arg(Integer(0), f"generator seed, default {DEFAULT_LLN_SEED}", required=False),
+        },
+        _run_lln,
+        _check_lln,
+    ),
+    "joint_pvm": TaskDef(
+        "Joint spectral measure of the commuting pair built from two laws; errors when the pair does not commute.",
+        _COMMUTING_PAIR,
+        _run_joint_pvm,
+    ),
+    "dispersion_free": TaskDef(
+        "A joint eigenvector of the commuting pair built from two laws, with both dispersions.",
+        _COMMUTING_PAIR,
+        _run_dispersion_free,
+    ),
+}
 
 
 def list_tasks() -> str:
@@ -777,31 +779,27 @@ def list_tasks() -> str:
 
 
 def describe_task(name: str) -> str:
-    """Argument schema of one task; unknown names raise KeyError."""
+    """Argument table of one task; unknown names raise KeyError."""
     td = TASKS[name]
-    lines = [f"{td.name}: {td.summary}", "arguments:"]
-    for arg, help_text in td.arg_schema.items():
-        lines.append(f"  {arg}: {help_text}")
+    lines = [f"{name}: {td.summary}", "arguments:"]
+    for arg, spec in td.args.items():
+        status = "required" if spec.required else "optional"
+        lines.append(f"  {arg} ({status}; {spec.kind}): {spec.help}")
     return "\n".join(lines)
 
 
 def validate_scenario(scenario: Scenario) -> None:
-    """Cross-reference and dimension checks; raises :class:`ScenarioError`."""
+    """Task names, arguments and cross-field rules; raises :class:`ScenarioError`."""
     for i, tspec in enumerate(scenario.tasks):
-        where = f"tasks[{i}]"
         td = TASKS.get(tspec.name)
         if td is None:
             raise ScenarioError(
-                f"unknown task {tspec.name!r}; known: {sorted(TASKS)}", field=where
+                f"unknown task {tspec.name!r}; known: {sorted(TASKS)}", field=f"tasks[{i}]"
             )
-        unknown = set(tspec.args) - set(td.arg_schema)
-        if unknown:
-            raise ScenarioError(f"unknown arguments {sorted(unknown)}", field=f"{where}.args")
-        for arg in td.arg_schema:
-            if arg not in tspec.args and (tspec.name, arg) not in _OPTIONAL_ARGS:
-                raise ScenarioError(f"missing required argument {arg!r}", field=f"{where}.args")
+        where = f"tasks[{i}].args"
+        args = _check_fields(td.args, tspec.args, where, scenario)
         if td.check is not None:
-            td.check(scenario, tspec.args, where)
+            td.check(scenario, args, where)
 
 
 # ---------------------------------------------------------------------------
@@ -973,12 +971,8 @@ def run_scenario(path, out=None, seed: int | None = None) -> int:
     try:
         scenario = load_scenario(path)
         validate_scenario(scenario)
+        report, ok = execute_scenario(scenario, seed_override=seed)  # raises only for the overrides
     except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report, ok = execute_scenario(scenario, seed_override=seed)
-    except ScenarioError as exc:  # override-variable problems
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     text = dumps_report(report)

@@ -69,6 +69,11 @@ class TestRandomVariable:
         with pytest.raises(DomainError):
             d(9)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RandomVariable("X", {**PRINTED, 6: bad})
+
 
 class TestPushforward:
     def test_eight_outcome_die_collapses_to_six_values(self):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     conjugated_diagonal_pair,
@@ -35,6 +37,7 @@ from ncprob import (
     shannon_entropy,
     spectral_pvm,
 )
+from ncprob.eur import CERTIFICATION_THRESHOLD
 from ncprob.hilbert import PAULI_X, PAULI_Z, fourier_unitary
 
 PAULI_PARTOVI = 2.0 * math.log(2.0 / (1.0 + 1.0 / math.sqrt(2.0)))
@@ -336,6 +339,37 @@ class TestOverlapTableOracle:
             assert pv <= mu + 1e-12
             if grain == "singleton":
                 assert abs(maassen_uffink_bound(a, b) - mu) <= 1e-12
+
+
+class TestNearDegenerateCommutingSoundness:
+    """A commuting pair is never certified, even when each spectrum has a
+    pair of eigenvalues just above the clustering tolerance, where the
+    computed eigenvectors of the two operators need not line up."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 8),
+        gaps=st.tuples(st.floats(1.01, 100.0), st.floats(1.01, 100.0)),
+        grain=st.sampled_from(["singleton", "merged"]),
+    )
+    def test_bounds_stay_below_the_threshold(self, seed, dim, gaps, grain):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, dim)
+        spectra = []
+        for gap in gaps:
+            vals = np.sort(rng.uniform(-3.0, 3.0, size=dim))
+            k = int(rng.integers(0, dim - 1))
+            # the default clustering tolerance: 1e-8 relative to the spectral radius
+            vals[k + 1] = vals[k] + gap * 1e-8 * max(1.0, float(np.abs(vals).max()))
+            spectra.append(vals)
+        a, b = (HermitianOperator(u @ np.diag(vals) @ u.conj().T) for vals in spectra)
+        if grain == "singleton":
+            ea, eb = singleton_partition(a), singleton_partition(b)
+        else:
+            ea, eb = merged_partition(a, rng), merged_partition(b, rng)
+        worst = max(maassen_uffink_bound(a, b, ea, eb), partovi_bound(a, b, ea, eb))
+        assert worst <= CERTIFICATION_THRESHOLD
 
 
 class TestMinEntropySum:

@@ -6,15 +6,21 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncprob
 from ncprob import scenario as scenario_module
 from ncprob.cli import main
+from ncprob.errors import ScenarioError
 from ncprob.scenario import (
+    MAX_RESTARTS,
+    MAX_TRIALS,
     RESTARTS_ENV_VAR,
     describe_task,
     dumps_report,
@@ -187,6 +193,15 @@ class TestValidationErrors:
         assert run_scenario(p) == 2
         assert "scenario error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text", ['{"dimension": ' + "1" * 5000 + "}", "[" * 100_000], ids=["long-integer", "deep"]
+    )
+    def test_json_the_parser_cannot_hold_exits_2(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.scenario"
+        p.write_text(text)
+        assert run_scenario(p) == 2
+        assert f"scenario error: {p}: not valid JSON" in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         payload = copy.deepcopy(MINIMAL)
         payload["surprise"] = 1
@@ -261,6 +276,115 @@ class TestValidationErrors:
         assert not (tmp_path / "r.json").exists()
 
 
+_LLN = ("tasks", 2, "args")  # die.scenario
+_OVERLAP = ("tasks", 1, "args")  # fourier2.scenario
+_FACE = ("variables", "face_value", "values")  # die.scenario
+
+#: (scenario, path of the edited key, new value, extra CLI arguments,
+#: environment, the field the error must name)
+BOUNDARY_CASES = [
+    pytest.param("die", _LLN + ("trials",), True, [], {}, "tasks[2].args.trials", id="lln-trials-true"),
+    pytest.param("die", _LLN + ("seed",), "abc", [], {}, "tasks[2].args.seed", id="lln-seed-string"),
+    pytest.param("die", _LLN + ("seed",), -1, [], {}, "tasks[2].args.seed", id="lln-seed-negative"),
+    pytest.param("die", _LLN + ("seed",), [], [], {}, "tasks[2].args.seed", id="lln-seed-list"),
+    pytest.param("die", _LLN + ("seed",), 1.5, [], {}, "tasks[2].args.seed", id="lln-seed-float"),
+    pytest.param("die", _LLN + ("seed",), True, [], {}, "tasks[2].args.seed", id="lln-seed-true"),
+    pytest.param("fourier2", _OVERLAP + ("target_bound",), math.inf, [], {}, "tasks[1].args.target_bound", id="target-bound-inf"),
+    pytest.param("fourier2", _OVERLAP + ("target_bound",), True, [], {}, "tasks[1].args.target_bound", id="target-bound-true"),
+    pytest.param("fourier2", ("optimizer", "restarts"), True, [], {}, "optimizer.restarts", id="restarts-true"),
+    pytest.param("fourier2", ("optimizer", "restarts"), 1.9, [], {}, "optimizer.restarts", id="restarts-float"),
+    pytest.param("fourier2", ("optimizer", "restarts"), MAX_RESTARTS + 1, [], {}, "optimizer.restarts", id="restarts-over-limit"),
+    pytest.param("fourier2", ("optimizer", "seed"), "12", [], {}, "optimizer.seed", id="optimizer-seed-string"),
+    pytest.param("fourier2", ("optimizer", "seed"), -5, [], {}, "optimizer.seed", id="optimizer-seed-negative"),
+    pytest.param("fourier2", ("optimizer", "tol"), -1.0, [], {}, "optimizer.tol", id="tol-negative"),
+    pytest.param("fourier2", ("optimizer", "tol"), math.nan, [], {}, "optimizer.tol", id="tol-nan"),
+    pytest.param("fourier2", ("optimizer", "tol"), math.inf, [], {}, "optimizer.tol", id="tol-inf"),
+    pytest.param("fourier2", ("optimizer", "restartz"), 8, [], {}, "optimizer.restartz", id="optimizer-unknown-key"),
+    pytest.param("fourier2", (), None, ["--seed", "-1"], {}, "--seed", id="cli-seed-negative"),
+    pytest.param(
+        "fourier2", (), None, [], {RESTARTS_ENV_VAR: str(MAX_RESTARTS + 1)}, RESTARTS_ENV_VAR, id="env-restarts-over-limit"
+    ),
+    pytest.param("die", _FACE + ("6",), math.inf, [], {}, "variables.face_value.values", id="variable-value-inf"),
+    pytest.param("die", _FACE + ("6",), math.nan, [], {}, "variables.face_value.values", id="variable-value-nan"),
+    # integer literals beyond the float range
+    pytest.param("fourier2", _OVERLAP + ("target_bound",), 10**400, [], {}, "tasks[1].args.target_bound", id="target-bound-huge"),
+    pytest.param("die", _FACE + ("6",), 10**400, [], {}, "variables.face_value.values", id="variable-value-huge"),
+    pytest.param("fourier2", ("distributions", "mu", "support"), [1, 10**400], [], {}, "distributions.mu", id="support-huge"),
+    pytest.param(
+        "interference", ("kernel",), {"alpha": [[10**400, 0], [0, 1]], "alpha_tilde": [[1, 0], [0, 1]]}, [], {}, "kernel",
+        id="kernel-huge",
+    ),
+]
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("name, path, value, argv, env, field", BOUNDARY_CASES)
+    def test_malformed_input_exits_2_naming_the_field(
+        self, tmp_path, capsys, monkeypatch, name, path, value, argv, env, field
+    ):
+        payload = json.loads(SHIPPED[name].read_text())
+        if path:
+            *parents, key = path
+            target = payload
+            for step in parents:
+                target = target[step]
+            target[key] = value
+        for var, text in env.items():
+            monkeypatch.setenv(var, text)
+        out = tmp_path / "r.json"
+        code = main(["run", str(write_scenario(tmp_path, payload)), "--out", str(out), *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"scenario error: {field}:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+#: Replacement values for the fuzz: wrong types, boundary and non-finite
+#: numbers, and the first values past the trial and dimension limits.  Where
+#: a value is valid it is cheap (a seed, an iteration cap, a bound), so no
+#: mutated scenario runs for long.
+FUZZ_POOL = [True, None, -1, 0, 1, 2, 1.5, math.nan, math.inf, -math.inf, "x", [], {}, MAX_TRIALS + 1, 1025]
+SHIPPED_DOCS = {name: json.loads(path.read_text()) for name, path in SHIPPED.items()}
+
+
+def _key_paths(doc, prefix=()):
+    """The path of every object key in a JSON document, tasks included."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _key_paths(value, prefix + (i,))
+
+
+class TestInputBoundaryFuzz:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_only_scenario_errors_cross_the_boundary(self, data):
+        doc = copy.deepcopy(SHIPPED_DOCS[data.draw(st.sampled_from(sorted(SHIPPED_DOCS)), label="scenario")])
+        *parents, key = data.draw(st.sampled_from(list(_key_paths(doc))), label="path")
+        target = doc
+        for step in parents:
+            target = target[step]
+        edit = data.draw(st.sampled_from(["replace", "delete", "add"]), label="edit")
+        if edit == "delete":
+            del target[key]
+        else:
+            target["unknown_field" if edit == "add" else key] = data.draw(st.sampled_from(FUZZ_POOL), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.scenario"
+            path.write_text(json.dumps(doc))
+            try:
+                scenario = load_scenario(path)
+                validate_scenario(scenario)
+            except ScenarioError:
+                return
+        report, _ = execute_scenario(scenario)
+        dumps_report(report)
+
+
 class TestRuntimeErrors:
     def test_failed_task_yields_exit_3_and_partial_report(self, tmp_path):
         payload = copy.deepcopy(MINIMAL)
@@ -293,6 +417,12 @@ class TestTaskCatalogue:
         assert "operator" in text
         assert "partition" in text
         assert "optimizer" in text
+
+    def test_describe_prints_status_and_constraint_from_the_table(self):
+        text = describe_task("lln")
+        assert "  trials (required; integer in [1, 10,000,000]): " in text
+        assert "  seed (optional; integer >= 0): " in text
+        assert "  event (required; name in 'contexts'): " in text
 
     def test_describe_unknown_task_raises(self):
         with pytest.raises(KeyError):
