@@ -28,8 +28,16 @@ DEFAULT_LLN_SEED = 0
 Outcome = Hashable
 
 
+def as_real(x) -> float:
+    """``float(x)`` for a number; a string or a boolean is rejected, not
+    coerced (``float("0.5")`` and ``float(True)`` would both succeed)."""
+    if isinstance(x, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"expected a real number, got {x!r}")
+    return float(x)
+
+
 def _normalised(weights: Iterable[float], what: str) -> tuple[float, ...]:
-    w = np.asarray(list(weights), dtype=float)
+    w = np.asarray([as_real(x) for x in weights], dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(w)):
@@ -110,7 +118,7 @@ class RandomVariable:
     values: Mapping[Outcome, float]
 
     def __init__(self, name: str, values: Mapping[Outcome, float]):
-        table = {k: float(v) for k, v in values.items()}
+        table = {k: as_real(v) for k, v in values.items()}
         if any(not math.isfinite(v) for v in table.values()):
             raise ValueError(f"values of {name} must be finite")
         object.__setattr__(self, "name", str(name))
@@ -135,7 +143,7 @@ class Distribution:
     probs: tuple
 
     def __init__(self, support: Iterable[float], probs: Iterable[float]):
-        sup = tuple(float(x) for x in support)
+        sup = tuple(as_real(x) for x in support)
         p = _normalised(probs, "probs")
         if len(sup) != len(p):
             raise ValueError(f"{len(sup)} support values but {len(p)} probabilities")

@@ -19,6 +19,7 @@ from .classical import (
     Event,
     FiniteProbabilitySpace,
     RandomVariable,
+    as_real,
     condition,
 )
 from .errors import DimensionError, DomainError
@@ -154,6 +155,10 @@ class TransitionKernel:
 
     @staticmethod
     def _check(name: str, mat) -> np.ndarray:
+        if not (isinstance(mat, np.ndarray) and mat.dtype.kind in "iuf"):
+            # a numeric array holds no strings or booleans, but nested lists may,
+            # and asarray turns "0.5" into 0.5 and [True, 2] into ints
+            mat = [[as_real(x) for x in row] for row in mat]
         m = np.asarray(mat, dtype=float)
         if m.ndim != 2:
             raise ValueError(f"{name} must be a matrix")

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .classical import Distribution
+from .classical import Distribution, as_real
 from .errors import (
     AlgebraError,
     DimensionError,
@@ -202,7 +202,7 @@ class SpectralCell:
     values: tuple
 
     def __init__(self, values: Iterable[float]):
-        vals = tuple(sorted(float(v) for v in values))
+        vals = tuple(sorted(as_real(v) for v in values))
         if not vals:
             raise ValueError("a spectral cell must contain at least one value")
         object.__setattr__(self, "values", vals)

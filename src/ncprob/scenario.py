@@ -7,8 +7,11 @@ a report whose numeric content is deterministic byte-for-byte for a
 fixed scenario, seed, and platform; wall-clock readings are isolated in
 a trailing ``timing`` section so they can be excluded from comparisons.
 
-Task arguments and optimizer fields are declared in tables of kinds that
-one checker reads; the same kinds check ``dimension`` and the overrides.
+Every object whose keys are field names has one table of kinds, and one
+checker reads them all: the top level (``_SCENARIO_FIELDS``), each entry
+of ``distributions``, ``spaces`` and ``variables``, ``unitary``,
+``kernel``, ``optimizer``, each task entry, and each task's ``args``
+(``TASKS``).  The same kinds check the command-line overrides.
 
 Floats are emitted with 17 significant digits (lossless for binary64);
 complex entries appear as two-element ``[re, im]`` arrays.
@@ -22,6 +25,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -142,27 +146,88 @@ class Choice:
 
 
 @dataclass(frozen=True)
+class Is:
+    """A JSON object, array, string or boolean: a strict ``isinstance``,
+    so ``0`` and ``1`` are not booleans."""
+
+    type: type
+
+    def check(self, value, field: str, scenario=None) -> None:
+        if not isinstance(value, self.type):
+            raise ScenarioError(f"must be {self}, got {type(value).__name__}", field=field)
+
+    def __str__(self) -> str:
+        return {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}[self.type]
+
+
+@dataclass(frozen=True)
 class Arg:
     """One declared field: its kind, its help text, and whether it is required."""
 
-    kind: Ref | Number | Integer | Choice
+    kind: Ref | Number | Integer | Choice | Is
     help: str
     required: bool = True
 
 
-def _check_fields(table: dict, given: dict, where: str, scenario=None) -> dict:
-    """Check ``given`` against ``table`` (name -> :class:`Arg`): no unknown
-    names, no missing required ones, every value of its kind.  Errors name
-    ``<where>.<name>``.  Returns the given fields in table order."""
+def _check_fields(table: dict, given, where: str, scenario=None) -> dict:
+    """Check that ``given`` is an object matching ``table`` (name ->
+    :class:`Arg`): no unknown names, no missing required ones, every value
+    of its kind.  Errors name ``<where>.<name>``, or the bare name when
+    ``where`` is empty (the top level).  Returns the given fields in table
+    order."""
+    Is(dict).check(given, where)
+    prefix = f"{where}." if where else ""
     for name in given:
         if name not in table:
-            raise ScenarioError(f"unknown field; known: {list(table)}", field=f"{where}.{name}")
+            raise ScenarioError(f"unknown field; known: {list(table)}", field=prefix + name)
     for name, arg in table.items():
         if name in given:
-            arg.kind.check(given[name], f"{where}.{name}", scenario)
+            arg.kind.check(given[name], prefix + name, scenario)
         elif arg.required:
-            raise ScenarioError("required field missing", field=f"{where}.{name}")
+            raise ScenarioError("required field missing", field=prefix + name)
     return {name: given[name] for name in table if name in given}
+
+
+_SCENARIO_FIELDS = {
+    "name": Arg(Is(str), "echoed in the report"),
+    "dimension": Arg(Integer(1, MAX_DIMENSION), "Hilbert-space dimension; checked before the unitary is built"),
+    "distributions": Arg(Is(dict), "name -> law", required=False),
+    "spaces": Arg(Is(dict), "name -> finite probability space", required=False),
+    "variables": Arg(Is(dict), "name -> random variable on a space", required=False),
+    "unitary": Arg(Is(dict), "basis change, default identity", required=False),
+    "partitions": Arg(Is(dict), "name -> list of value groups", required=False),
+    "contexts": Arg(Is(dict), "name -> list of outcomes", required=False),
+    "kernel": Arg(Is(dict), "transition kernel between two variables", required=False),
+    "optimizer": Arg(Is(dict), "optimizer settings", required=False),
+    "tasks": Arg(Is(list), "task entries, run in order"),
+}
+_DISTRIBUTION_FIELDS = {
+    "support": Arg(Is(list), "strictly increasing real values"),
+    "probs": Arg(Is(list), "one probability per support value"),
+}
+_SPACE_FIELDS = {
+    "outcomes": Arg(Is(list), "pairwise-distinct labels"),
+    "weights": Arg(Is(list), "one weight per outcome"),
+}
+_VARIABLE_FIELDS = {
+    "space": Arg(Ref("spaces"), "the sample space"),
+    "values": Arg(Is(dict), "outcome -> real value, for exactly the outcomes of the space"),
+}
+#: ``entries`` is given exactly when ``kind`` is ``explicit``.
+_UNITARY_FIELDS = {
+    "kind": Arg(Choice(("identity", "fourier", "hadamard", "explicit")), "the unitary"),
+    "entries": Arg(Is(list), "rows of [re, im] pairs", required=False),
+}
+#: Either ``{"from_unitary": true}`` or both ``alpha`` and ``alpha_tilde``.
+_KERNEL_FIELDS = {
+    "from_unitary": Arg(Is(bool), "the Born kernel |U[x, y]|^2 of the unitary", required=False),
+    "alpha": Arg(Is(list), "P(X=x | Y=y), one row per x", required=False),
+    "alpha_tilde": Arg(Is(list), "P(Y=y | X=x), one row per y", required=False),
+}
+_TASK_FIELDS = {
+    "task": Arg(Is(str), "task name, see `ncprob tasks`"),
+    "args": Arg(Is(dict), "task arguments, see `ncprob describe <task>`", required=False),
+}
 
 
 #: The ``optimizer`` section; every field is optional (defaults from
@@ -194,7 +259,6 @@ class Scenario:
     distributions: dict
     spaces: dict
     variables: dict  # name -> (space name, RandomVariable)
-    unitary_kind: str
     unitary: np.ndarray
     partitions: dict
     contexts: dict
@@ -219,70 +283,52 @@ class Scenario:
         return cfg
 
 
-def _parse_outcome(value):
-    """JSON object keys are strings; coerce them back to outcome labels."""
-    if isinstance(value, str):
+def _parse_outcome(key: str):
+    """JSON object keys are strings; read them back as outcome labels."""
+    for number in (int, float):
         try:
-            return int(value)
+            return number(key)
         except ValueError:
-            try:
-                return float(value)
-            except ValueError:
-                return value
-    return value
+            pass
+    return key
 
 
-def _expect(mapping, key, types, where, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ScenarioError("required field missing", field=f"{where}.{key}")
-        return default
-    val = mapping[key]
-    if types is not None and not isinstance(val, types):
-        raise ScenarioError(
-            f"expected {getattr(types, '__name__', types)}, got {type(val).__name__}",
-            field=f"{where}.{key}",
-        )
-    return val
+def _make(where: str, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``; a model constructor's error names ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except _BAD_VALUE as exc:
+        raise ScenarioError(str(exc), field=where) from None
 
 
-def _build_unitary(spec, dimension: int) -> tuple[str, np.ndarray]:
-    if spec is None:
-        spec = {"kind": "identity"}
-    if not isinstance(spec, dict):
-        raise ScenarioError("unitary must be an object with a 'kind'", field="unitary")
-    kind = _expect(spec, "kind", str, "unitary", required=True)
+def _build_unitary(spec, dimension: int) -> np.ndarray:
+    spec = _check_fields(_UNITARY_FIELDS, spec, "unitary")
+    kind = spec["kind"]
+    if ("entries" in spec) != (kind == "explicit"):
+        raise ScenarioError("given with kind 'explicit' and only then", field="unitary.entries")
     if kind == "identity":
-        return kind, np.eye(dimension, dtype=complex)
+        return np.eye(dimension, dtype=complex)
     if kind == "fourier":
-        return kind, hilbert.fourier_unitary(dimension)
+        return hilbert.fourier_unitary(dimension)
     if kind == "hadamard":
         if dimension != 2:
             raise ScenarioError(
                 f"hadamard unitary requires dimension 2, scenario has {dimension}",
                 field="unitary.kind",
             )
-        return kind, hilbert.hadamard_unitary()
-    if kind == "explicit":
-        entries = _expect(spec, "entries", list, "unitary", required=True)
-        try:
-            rows = [[complex(re, im) for re, im in row] for row in entries]
-            m = np.asarray(rows, dtype=complex)
-        except _BAD_VALUE as exc:
-            raise ScenarioError(
-                f"entries must be rows of [re, im] pairs ({exc})", field="unitary.entries"
-            ) from None
-        if m.shape != (dimension, dimension):
-            raise ScenarioError(
-                f"explicit unitary has shape {m.shape}, scenario dimension is {dimension}",
-                field="unitary.entries",
-            )
-        try:
-            construct._check_unitary(m)
-        except ValueError as exc:
-            raise ScenarioError(str(exc), field="unitary.entries") from None
-        return kind, m
-    raise ScenarioError(f"unknown unitary kind {kind!r}", field="unitary.kind")
+        return hilbert.hadamard_unitary()
+    try:
+        m = np.asarray([[complex(re, im) for re, im in row] for row in spec["entries"]], dtype=complex)
+    except _BAD_VALUE as exc:
+        raise ScenarioError(
+            f"entries must be rows of [re, im] pairs ({exc})", field="unitary.entries"
+        ) from None
+    if m.shape != (dimension, dimension):
+        raise ScenarioError(
+            f"explicit unitary has shape {m.shape}, scenario dimension is {dimension}",
+            field="unitary.entries",
+        )
+    return _make("unitary.entries", construct._check_unitary, m)
 
 
 def load_scenario(path) -> Scenario:
@@ -303,61 +349,40 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"not valid JSON: {exc}", field=str(p)) from None
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be an object", field=str(p))
-
-    name = _expect(doc, "name", str, "scenario", required=True)
-    dimension = _expect(doc, "dimension", None, "scenario", required=True)
-    Integer(1, MAX_DIMENSION).check(dimension, "dimension")
+    doc = _check_fields(_SCENARIO_FIELDS, doc, "")
+    dimension = doc["dimension"]
 
     distributions = {}
-    for dname, dspec in _expect(doc, "distributions", dict, "scenario", default={}).items():
+    for dname, dspec in doc.get("distributions", {}).items():
         where = f"distributions.{dname}"
-        if not isinstance(dspec, dict):
-            raise ScenarioError("must be an object with support/probs", field=where)
-        support = _expect(dspec, "support", list, where, required=True)
-        probs = _expect(dspec, "probs", list, where, required=True)
-        try:
-            distributions[dname] = Distribution(support, probs)
-        except _BAD_VALUE as exc:
-            raise ScenarioError(str(exc), field=where) from None
+        distributions[dname] = _make(where, Distribution, **_check_fields(_DISTRIBUTION_FIELDS, dspec, where))
 
     spaces = {}
-    for sname, sspec in _expect(doc, "spaces", dict, "scenario", default={}).items():
+    for sname, sspec in doc.get("spaces", {}).items():
         where = f"spaces.{sname}"
-        if not isinstance(sspec, dict):
-            raise ScenarioError("must be an object with outcomes/weights", field=where)
-        outcomes = _expect(sspec, "outcomes", list, where, required=True)
-        weights = _expect(sspec, "weights", list, where, required=True)
-        try:
-            spaces[sname] = FiniteProbabilitySpace(outcomes, weights)
-        except _BAD_VALUE as exc:
-            raise ScenarioError(str(exc), field=where) from None
+        spaces[sname] = _make(where, FiniteProbabilitySpace, **_check_fields(_SPACE_FIELDS, sspec, where))
 
     variables = {}
-    for vname, vspec in _expect(doc, "variables", dict, "scenario", default={}).items():
+    for vname, vspec in doc.get("variables", {}).items():
         where = f"variables.{vname}"
-        if not isinstance(vspec, dict):
-            raise ScenarioError("must be an object with space/values", field=where)
-        space_name = _expect(vspec, "space", str, where, required=True)
-        if space_name not in spaces:
-            raise ScenarioError(f"references unknown space {space_name!r}", field=f"{where}.space")
-        values = _expect(vspec, "values", dict, where, required=True)
-        table = {_parse_outcome(k): v for k, v in values.items()}
-        try:
-            rv = RandomVariable(vname, table)
-        except _BAD_VALUE as exc:
-            raise ScenarioError(str(exc), field=f"{where}.values") from None
-        missing = [o for o in spaces[space_name].outcomes if o not in rv.values]
-        if missing:
+        vspec = _check_fields(_VARIABLE_FIELDS, vspec, where, SimpleNamespace(spaces=spaces, dimension=dimension))
+        space_name = vspec["space"]
+        table = {_parse_outcome(k): v for k, v in vspec["values"].items()}
+        rv = _make(f"{where}.values", RandomVariable, vname, table)
+        outcomes = spaces[space_name].outcomes
+        missing = [o for o in outcomes if o not in rv.values]
+        stray = [o for o in rv.values if o not in outcomes]
+        if missing or stray:
             raise ScenarioError(
-                f"variable undefined on outcomes {missing!r} of space {space_name!r}",
+                f"must cover exactly the outcomes of space {space_name!r}: missing {missing!r}, extra {stray!r}",
                 field=f"{where}.values",
             )
         variables[vname] = (space_name, rv)
 
-    unitary_kind, unitary = _build_unitary(doc.get("unitary"), dimension)
+    unitary = _build_unitary(doc.get("unitary", {"kind": "identity"}), dimension)
 
     partitions = {}
-    for pname, groups in _expect(doc, "partitions", dict, "scenario", default={}).items():
+    for pname, groups in doc.get("partitions", {}).items():
         where = f"partitions.{pname}"
         if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
             raise ScenarioError("must be a list of value groups", field=where)
@@ -367,60 +392,34 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(str(exc), field=where) from None
 
     contexts = {}
-    for cname, members in _expect(doc, "contexts", dict, "scenario", default={}).items():
-        where = f"contexts.{cname}"
+    for cname, members in doc.get("contexts", {}).items():
         if not isinstance(members, list):
-            raise ScenarioError("must be a list of outcomes", field=where)
+            raise ScenarioError("must be a list of outcomes", field=f"contexts.{cname}")
         contexts[cname] = tuple(members)
 
     kernel = None
-    kspec = _expect(doc, "kernel", dict, "scenario", default=None)
-    if kspec is not None:
-        if kspec.get("from_unitary"):
-            try:
-                kernel = construct.TransitionKernel.from_unitary(unitary)
-            except ValueError as exc:
-                raise ScenarioError(str(exc), field="kernel") from None
+    if "kernel" in doc:
+        kspec = _check_fields(_KERNEL_FIELDS, doc["kernel"], "kernel")
+        if kspec == {"from_unitary": True}:
+            kernel = _make("kernel", construct.TransitionKernel.from_unitary, unitary)
+        elif set(kspec) == {"alpha", "alpha_tilde"}:
+            kernel = _make("kernel", construct.TransitionKernel, **kspec)
         else:
-            alpha = _expect(kspec, "alpha", list, "kernel", required=True)
-            alpha_tilde = _expect(kspec, "alpha_tilde", list, "kernel", required=True)
-            try:
-                kernel = construct.TransitionKernel(alpha, alpha_tilde)
-            except _BAD_VALUE as exc:
-                raise ScenarioError(str(exc), field="kernel") from None
+            raise ScenarioError("give either from_unitary: true or both alpha and alpha_tilde", field="kernel")
 
-    ospec = _expect(doc, "optimizer", dict, "scenario", default={})
-    _check_fields(_OPTIMIZER_FIELDS, ospec, "optimizer")
-    optimizer = OptimizerConfig(**ospec)
+    optimizer = OptimizerConfig(**_check_fields(_OPTIMIZER_FIELDS, doc.get("optimizer", {}), "optimizer"))
 
     tasks = []
-    raw_tasks = _expect(doc, "tasks", list, "scenario", required=True)
-    for i, tspec in enumerate(raw_tasks):
-        where = f"tasks[{i}]"
-        if not isinstance(tspec, dict):
-            raise ScenarioError("each task must be an object", field=where)
-        tname = _expect(tspec, "task", str, where, required=True)
-        targs = _expect(tspec, "args", dict, where, default={})
-        extra = set(tspec) - {"task", "args"}
-        if extra:
-            raise ScenarioError(f"unknown keys {sorted(extra)}", field=where)
-        tasks.append(TaskSpec(tname, dict(targs)))
-
-    known = {
-        "name", "dimension", "distributions", "spaces", "variables", "unitary",
-        "partitions", "contexts", "kernel", "optimizer", "tasks",
-    }
-    extra = set(doc) - known
-    if extra:
-        raise ScenarioError(f"unknown top-level sections {sorted(extra)}", field="scenario")
+    for i, tspec in enumerate(doc["tasks"]):
+        tspec = _check_fields(_TASK_FIELDS, tspec, f"tasks[{i}]")
+        tasks.append(TaskSpec(tspec["task"], dict(tspec.get("args", {}))))
 
     return Scenario(
-        name=name,
+        name=doc["name"],
         dimension=dimension,
         distributions=distributions,
         spaces=spaces,
         variables=variables,
-        unitary_kind=unitary_kind,
         unitary=unitary,
         partitions=partitions,
         contexts=contexts,

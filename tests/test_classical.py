@@ -32,6 +32,10 @@ def printed_value():
     return RandomVariable("D", PRINTED)
 
 
+#: Values that ``float()`` would coerce but that are not numbers.
+NOT_REAL = ["0.5", b"0.5", True, np.True_]
+
+
 class TestSpace:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -61,6 +65,27 @@ class TestSpace:
         with pytest.raises(DomainError):
             space.prob(Event({9}))
 
+    def test_weights_are_never_coerced(self):
+        for bad in NOT_REAL:
+            with pytest.raises(TypeError, match="real number"):
+                FiniteProbabilitySpace(("a", "b"), (bad, 0.5))
+        space = FiniteProbabilitySpace(("a", "b"), np.array([0.5, 0.5]))
+        assert space.weights == (0.5, 0.5)
+        assert type(space.weights[0]) is float
+
+
+class TestDistribution:
+    def test_support_and_probs_are_never_coerced(self):
+        for bad in NOT_REAL:
+            with pytest.raises(TypeError, match="real number"):
+                Distribution([bad, 1.0], [0.5, 0.5])
+            with pytest.raises(TypeError, match="real number"):
+                Distribution([0.0, 1.0], [bad, 0.5])
+        d = Distribution([np.int64(1), 2, np.float32(3.5)], np.array([0.25, 0.25, 0.5]))
+        assert d.support == (1.0, 2.0, 3.5)
+        assert d.probs == (0.25, 0.25, 0.5)
+        assert all(type(x) is float for x in d.support + d.probs)
+
 
 class TestRandomVariable:
     def test_lookup_and_domain_error(self):
@@ -73,6 +98,12 @@ class TestRandomVariable:
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             RandomVariable("X", {**PRINTED, 6: bad})
+
+    def test_values_are_never_coerced(self):
+        for bad in NOT_REAL:
+            with pytest.raises(TypeError, match="real number"):
+                RandomVariable("X", {**PRINTED, 6: bad})
+        assert RandomVariable("X", {1: np.int64(3), 2: np.float64(0.5)}).values == {1: 3.0, 2: 0.5}
 
 
 class TestPushforward:

@@ -140,6 +140,17 @@ class TestTransitionKernel:
         with pytest.raises(ValueError):
             TransitionKernel(bad, bad.T)
 
+    def test_entries_are_never_coerced(self):
+        # np.asarray([[True, 0.0], ...]) would read True as 1.0
+        for bad in ["0.5", b"0.5", True, np.True_]:
+            with pytest.raises(TypeError, match="real number"):
+                TransitionKernel([[bad, 0.0], [0.0, 1.0]], np.eye(2).tolist())
+            with pytest.raises(TypeError, match="real number"):
+                TransitionKernel(np.eye(2), [[1.0, 0.0], [0.0, bad]])
+        k = TransitionKernel([[1, 0], [0, 1]], np.eye(2, dtype=np.float32))
+        assert k.alpha.dtype == float
+        assert np.array_equal(k.alpha, np.eye(2))
+
     def test_from_unitary_is_symmetric_and_born_consistent(self):
         u = hadamard_unitary()
         k = TransitionKernel.from_unitary(u)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -194,6 +194,20 @@ class TestEpsilonEntropy:
                 state = random_density(rng, dim)
             want = shannon_entropy(partition_probabilities(state, spectral_pvm(op), part))
             assert abs(epsilon_entropy(state, op, part) - want) <= 1e-12
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(s=st.floats(0.0, 1e-3) | st.floats(-323.0, -3.0).map(lambda e: 10.0**e), dim=st.integers(2, 6))
+    @example(s=0.0, dim=2)
+    @example(s=5e-324, dim=2)
+    @example(s=2.2250738585072014e-308 / 3, dim=3)
+    @example(s=1e-12, dim=2)
+    def test_continuous_as_a_cell_probability_goes_to_zero(self, s, dim):
+        # psi = sqrt(1 - s) e_0 + sqrt(s) e_1 on singleton cells: the binary entropy h(s)
+        op = HermitianOperator(np.diag(np.arange(1.0, dim + 1.0)))
+        psi = np.zeros(dim, dtype=complex)
+        psi[0], psi[1] = math.sqrt(1.0 - s), math.sqrt(s)
+        h = -(1.0 - s) * math.log1p(-s) - (s * math.log(s) if s > 0.0 else 0.0)
+        assert abs(epsilon_entropy(PureState(psi), op, singleton_partition(op)) - h) <= 1e-12
 
 
 class TestMaassenUffink:

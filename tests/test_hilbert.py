@@ -22,6 +22,7 @@ from ncprob import (
     NonCommutingError,
     PVM,
     PureState,
+    SpectralCell,
     apply_function,
     chsh_beta,
     common_refiner,
@@ -106,6 +107,16 @@ class TestPVMValidation:
         p0 = np.diag([1.0, 0.0])
         with pytest.raises(ValueError):
             PVM([("a", plus), ("b", p0), ("c", np.eye(2) - plus - p0)])
+
+
+class TestSpectralCell:
+    def test_values_are_never_coerced(self):
+        for bad in ["1", b"1", True, np.True_]:
+            with pytest.raises(TypeError, match="real number"):
+                SpectralCell([bad, 2.0])
+        cell = SpectralCell([np.int64(3), 1, np.float64(2.5)])
+        assert cell.values == (1.0, 2.5, 3.0)
+        assert all(type(v) is float for v in cell.values)
 
 
 class TestDiagonalModel:

@@ -10,8 +10,9 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncprob
@@ -140,6 +141,18 @@ class TestShippedScenarios:
         assert a.split('"timing"')[0] == b.split('"timing"')[0]
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+_COMPLEX = st.builds(complex, _FINITE, _FINITE)
+_COMPLEX_ARRAYS = st.lists(_COMPLEX, min_size=1, max_size=3).map(np.array) | st.lists(
+    st.lists(_COMPLEX, min_size=2, max_size=2), min_size=1, max_size=2
+).map(np.array)
+_REPORT_VALUES = st.recursive(
+    _FINITE | _COMPLEX_ARRAYS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("abc", max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestReportFormat:
     def test_report_is_json_with_float_round_trip(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL)
@@ -157,6 +170,17 @@ class TestReportFormat:
         assert '"x": 1.0' in text
         assert '"y": 0.0' in text
         assert "2.0" in text
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(value=_REPORT_VALUES)
+    @example(value={"x": -0.0, "z": np.array([complex(-0.0, -0.0)]), "m": np.array([[complex(-0.0, 1.0)]])})
+    def test_no_negative_zero_and_json_round_trip(self, value):
+        # task results reach dumps_report through _payload, as in execute_scenario
+        payload = scenario_module._payload(value)
+        text = dumps_report(payload)
+        tokens = []
+        assert json.loads(text, parse_float=lambda tok: tokens.append(tok) or float(tok)) == payload
+        assert not [tok for tok in tokens if tok.startswith("-") and float(tok) == 0.0]
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL)
@@ -279,6 +303,7 @@ class TestValidationErrors:
 _LLN = ("tasks", 2, "args")  # die.scenario
 _OVERLAP = ("tasks", 1, "args")  # fourier2.scenario
 _FACE = ("variables", "face_value", "values")  # die.scenario
+_BORN = ("kernel", "from_unitary")  # interference.scenario
 
 #: (scenario, path of the edited key, new value, extra CLI arguments,
 #: environment, the field the error must name)
@@ -314,7 +339,49 @@ BOUNDARY_CASES = [
         "interference", ("kernel",), {"alpha": [[10**400, 0], [0, 1]], "alpha_tilde": [[1, 0], [0, 1]]}, [], {}, "kernel",
         id="kernel-huge",
     ),
+    # misspelled fields
+    pytest.param("fourier2", ("distributions", "mu", "probz"), [0.5, 0.5], [], {}, "distributions.mu.probz", id="probz"),
+    pytest.param("die", ("spaces", "six_faces", "wieghts"), [1.0], [], {}, "spaces.six_faces.wieghts", id="wieghts"),
+    pytest.param("fourier2", ("unitary", "knd"), "fourier", [], {}, "unitary.knd", id="unitary-knd"),
+    pytest.param("interference", ("kernel", "alhpa"), [[1, 0], [0, 1]], [], {}, "kernel.alhpa", id="kernel-alhpa"),
+    # the kernel and unitary either/or rules
+    pytest.param("interference", _BORN, "no", [], {}, "kernel.from_unitary", id="from-unitary-string"),
+    pytest.param("interference", _BORN, 0, [], {}, "kernel.from_unitary", id="from-unitary-0"),
+    pytest.param("interference", _BORN, 1, [], {}, "kernel.from_unitary", id="from-unitary-1"),
+    pytest.param("interference", ("kernel", "alpha"), [[1, 0], [0, 1]], [], {}, "kernel", id="from-unitary-and-alpha"),
+    pytest.param("fourier2", ("unitary", "entries"), [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [], {}, "unitary.entries", id="entries-with-fourier"),
+    # numbers coerced from strings and booleans
+    pytest.param("fourier2", ("distributions", "mu", "support"), ["1", 2], [], {}, "distributions.mu", id="support-string"),
+    pytest.param("fourier2", ("distributions", "mu", "probs"), ["0.5", 0.5], [], {}, "distributions.mu", id="probs-string"),
+    pytest.param("die", ("spaces", "six_faces", "weights"), ["0.16666666666666666"] + [1 / 6] * 5, [], {}, "spaces.six_faces", id="weight-string"),
+    pytest.param("die", _FACE + ("6",), True, [], {}, "variables.face_value.values", id="variable-value-true"),
+    pytest.param("die", _FACE + ("6",), "6", [], {}, "variables.face_value.values", id="variable-value-string"),
+    pytest.param("fourier2", ("partitions", "fine"), [["1"], [2]], [], {}, "partitions.fine", id="partition-string"),
+    pytest.param("fourier2", ("partitions", "fine"), [[True], [2]], [], {}, "partitions.fine", id="partition-true"),
+    pytest.param(
+        "interference", ("kernel",), {"alpha": [["0.5", 0.5], [0.5, 0.5]], "alpha_tilde": [[0.5, 0.5], [0.5, 0.5]]}, [], {},
+        "kernel", id="kernel-alpha-string",
+    ),
+    # a value for an outcome outside the space
+    pytest.param("die", _FACE + ("9",), 9, [], {}, "variables.face_value.values", id="variable-value-stray-outcome"),
 ]
+
+
+def _unknown_field_cases():
+    """An ``unknown_field`` key in the top level, each section entry,
+    ``unitary``, ``kernel`` and each task entry of every shipped scenario."""
+    for name, path in SHIPPED.items():
+        doc = json.loads(path.read_text())
+        objects = [((), "")]
+        objects += [((sec, n), f"{sec}.{n}") for sec in ("distributions", "spaces", "variables") for n in doc.get(sec, {})]
+        objects += [((sec,), sec) for sec in ("unitary", "kernel") if sec in doc]
+        objects += [(("tasks", i), f"tasks[{i}]") for i in range(len(doc["tasks"]))]
+        for keys, where in objects:
+            field = f"{where}.unknown_field" if where else "unknown_field"
+            yield pytest.param(name, keys + ("unknown_field",), 1, [], {}, field, id=f"{name}-{field}")
+
+
+BOUNDARY_CASES += list(_unknown_field_cases())
 
 
 class TestInputBoundary:
