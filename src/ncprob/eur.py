@@ -8,6 +8,11 @@ over pure states, and a certificate object tying it all together.
 Both bounds come from one overlap table, c = max ||P_i Q_j|| over cell
 pairs: Maassen-Uffink is -2 ln c and, as ||P + Q|| = 1 + ||P Q|| for
 orthogonal projections, the projector-sum bound is 2 ln(2/(1 + c)).
+||P_i Q_j|| is the spectral norm of the (i, j) block of W_A* W_B; a stable
+sort by cell makes every cell one contiguous block, and the blocks of one
+shape are normed in one call, so the table costs O(d^3).  A certification
+decomposes each operator once and shares it between the bounds and the
+minimiser.
 
 A certificate's verdict rests on the analytic bounds alone.  The numeric
 infimum is corroborating evidence and the commutator norm is an
@@ -128,47 +133,33 @@ def _assign_to_partition(
 ) -> list[int]:
     """For each spectral cell, the index of the unique partition cell
     containing (within tolerance) all of its eigenvalues."""
-    ground = part.ground_values()
-    all_eigs = [v for c in spectral_cells for v in c.values]
-    tol = _match_tolerance(list(ground) + all_eigs)
+    values = [u for c in part.cells for u in c.values]
+    eigs = [v for c in spectral_cells for v in c.values]
+    tol = _match_tolerance(values + eigs)
+    near = np.abs(np.array(values)[None, :] - np.array(eigs)[:, None]) <= tol  # eigenvalue x value
 
-    for u in ground:
-        if not any(abs(u - v) <= tol for v in all_eigs):
-            raise PartitionError(f"partition references value {u!r} absent from the spectrum")
+    absent = [u for u, hit in zip(values, near.any(axis=0)) if not hit]
+    if absent:
+        raise PartitionError(f"partition references value {min(absent)!r} absent from the spectrum")
 
-    out = []
+    starts = np.cumsum([0] + [len(c) for c in part.cells[:-1]])
+    matched = np.logical_or.reduceat(near, starts, axis=1)  # eigenvalue x partition cell
+    n_hit, cell_of = matched.sum(axis=1), matched.argmax(axis=1)
+    out, lo = [], 0
     for cell in spectral_cells:
-        hits = set()
-        for v in cell.values:
-            matched = [
-                k
-                for k, pc in enumerate(part.cells)
-                if any(abs(u - v) <= tol for u in pc.values)
-            ]
-            if not matched:
+        hi = lo + len(cell)
+        for v, n in zip(cell.values, n_hit[lo:hi]):
+            if n == 0:
                 raise PartitionError(f"eigenvalue {v!r} is not covered by the partition")
-            if len(matched) > 1:
+            if n > 1:
                 raise PartitionError(f"eigenvalue {v!r} matches several partition cells")
-            hits.add(matched[0])
-        if len(hits) > 1:
+        if cell_of[lo:hi].min() != cell_of[lo:hi].max():
             raise PartitionError(
                 f"spectral cell {cell.values!r} straddles partition cells; refine the operator's "
                 "degeneracy clustering or coarsen the partition"
             )
-        out.append(hits.pop())
-    return out
-
-
-def _partition_projectors(pvm: PVM, part: SpectrumPartition) -> list[np.ndarray]:
-    """One projector per partition cell: the sum of the PVM projectors
-    whose cells fall inside it."""
-    labels = list(pvm.labels)
-    if not all(isinstance(lb, SpectralCell) for lb in labels):
-        raise PartitionError("the PVM must carry spectral-cell labels")
-    assignment = _assign_to_partition(labels, part)
-    out = [np.zeros((pvm.dim, pvm.dim), dtype=complex) for _ in part.cells]
-    for k, proj in zip(assignment, pvm.projectors):
-        out[k] = out[k] + proj
+        out.append(int(cell_of[lo]))
+        lo = hi
     return out
 
 
@@ -189,15 +180,16 @@ def partition_probabilities(state, pvm: PVM, part: SpectrumPartition) -> Distrib
     """Measurement law coarse-grained by a spectrum partition.
 
     Support labels are the partition cells' minima (distinct for disjoint
-    cells; the value itself for singleton cells).
+    cells; the value itself for singleton cells).  Each PVM cell's
+    Re tr(rho P) is added into the partition cell it falls inside.
     """
-    rho = _as_density(state)
-    projectors = _partition_projectors(pvm, part)
-    probs = []
-    for proj in projectors:
-        p = float(np.trace(rho.matrix @ proj).real)
-        probs.append(max(p, 0.0))
-    return Distribution([c.representative for c in part.cells], probs)
+    rho = _as_density(state).matrix
+    labels = list(pvm.labels)
+    if not all(isinstance(lb, SpectralCell) for lb in labels):
+        raise PartitionError("the PVM must carry spectral-cell labels")
+    weights = [np.vdot(proj, rho).real for proj in pvm.projectors]  # tr(rho P), P Hermitian
+    probs = np.bincount(_assign_to_partition(labels, part), weights=weights, minlength=len(part))
+    return Distribution([c.representative for c in part.cells], np.maximum(probs, 0.0))
 
 
 def epsilon_entropy(state, op: HermitianOperator, part: SpectrumPartition) -> float:
@@ -216,20 +208,35 @@ def epsilon_entropy(state, op: HermitianOperator, part: SpectrumPartition) -> fl
 # analytic bounds
 
 
-def _analytic_bounds(a, b, eps, delta) -> tuple[float, float]:
-    """(Maassen-Uffink, Partovi) from the largest cell-pair overlap c:
-    ||P_i Q_j|| is the spectral norm of the (i, j) cell block of the
-    overlap table W_A* W_B, so no d x d projector is formed."""
+def _decompose(a, b, eps, delta) -> tuple:
+    """(W_A, idx_A, W_B, idx_B): each operator's one decomposition, shared
+    by the bounds and the minimiser."""
     if a.dim != b.dim:
         raise PartitionError(f"operator dims differ: {a.dim} vs {b.dim}")
-    wa, idx_a = _partition_isometries(a, eps)
-    wb, idx_b = _partition_isometries(b, delta)
+    return (*_partition_isometries(a, eps), *_partition_isometries(b, delta))
+
+
+def _cell_blocks(idx: np.ndarray) -> list[np.ndarray]:
+    """One array per cell width w: the columns of every cell of width w,
+    one row per cell, in cell order.  A stable argsort of ``idx`` lists
+    each cell's columns as one contiguous run, in their original order."""
+    order = np.argsort(idx, kind="stable")
+    widths = np.bincount(idx)  # every cell holds at least one column
+    starts = np.cumsum(widths) - widths
+    return [order[starts[widths == w][:, None] + np.arange(w)] for w in np.flatnonzero(np.bincount(widths))]
+
+
+def _overlap_bounds(wa, idx_a, wb, idx_b) -> tuple[float, float]:
+    """(Maassen-Uffink, Partovi) from the largest cell-pair overlap c:
+    ||P_i Q_j|| is the spectral norm of the (i, j) cell block of the
+    overlap table W_A* W_B, so no d x d projector is formed.  The blocks
+    of one shape are gathered into one stack and normed in one call."""
     g = wa.conj().T @ wb
-    c = max(
-        float(np.linalg.norm(g[idx_a == i][:, idx_b == j], 2))
-        for i in set(idx_a)
-        for j in set(idx_b)
-    )
+    c = 0.0
+    for rows in _cell_blocks(idx_a):
+        for cols in _cell_blocks(idx_b):
+            blocks = g[rows[:, None, :, None], cols[None, :, None, :]]  # cell_a, cell_b, row, col
+            c = max(c, float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max()))
     if c > 1.0 + 1e-8:
         raise ArithmeticError(f"projector overlap {c!r} exceeds 1 beyond tolerance")
     c = min(c, 1.0)
@@ -249,7 +256,7 @@ def maassen_uffink_bound(
     overlap |<phi_a|psi_b>|).  With partitions the projectors are first
     coarse-grained, which can only lower the bound.
     """
-    return _analytic_bounds(a, b, eps, delta)[0]
+    return _overlap_bounds(*_decompose(a, b, eps, delta))[0]
 
 
 def partovi_bound(
@@ -265,7 +272,7 @@ def partovi_bound(
     for orthogonal projections.  Since c <= 1, 2/(1 + c) <= 1/c, so this never
     exceeds Maassen-Uffink; both are 0 when a cell pair shares an eigenvector.
     """
-    return _analytic_bounds(a, b, eps, delta)[1]
+    return _overlap_bounds(*_decompose(a, b, eps, delta))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +315,13 @@ def _entropy_of(p: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def _checked(opt: OptimizerConfig | None) -> OptimizerConfig:
+    opt = opt or OptimizerConfig()
+    if opt.restarts < 1 or opt.max_iters < 1:
+        raise ValueError("restarts and max_iters must be >= 1")
+    return opt
+
+
 def min_entropy_sum(
     a: HermitianOperator,
     b: HermitianOperator,
@@ -325,17 +339,14 @@ def min_entropy_sum(
     lowest value with ties going to the lowest restart index, so the
     result is deterministic for a fixed config.
     """
+    opt = _checked(opt)
+    return _min_entropy_sum(*_decompose(a, b, eps, delta), opt)
+
+
+def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyResult:
     from scipy.optimize import minimize  # ~0.45 s to import; most runs never optimise
 
-    opt = opt or OptimizerConfig()
-    if opt.restarts < 1 or opt.max_iters < 1:
-        raise ValueError("restarts and max_iters must be >= 1")
-    if a.dim != b.dim:
-        raise PartitionError(f"operator dims differ: {a.dim} vs {b.dim}")
-    d = a.dim
-    wa, idx_a = _partition_isometries(a, eps)
-    wb, idx_b = _partition_isometries(b, delta)
-    na, nb = len(eps), len(delta)
+    d = wa.shape[0]
     wa_h, wb_h = wa.conj().T, wb.conj().T
 
     def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -345,8 +356,8 @@ def min_entropy_sum(
             return 2.0 * math.log(max(d, 2)) + 1.0, np.zeros_like(z)
         psi = psi / nrm
         amp_a, amp_b = wa_h @ psi, wb_h @ psi
-        pa = np.bincount(idx_a, weights=np.abs(amp_a) ** 2, minlength=na)
-        pb = np.bincount(idx_b, weights=np.abs(amp_b) ** 2, minlength=nb)
+        pa = np.bincount(idx_a, weights=np.abs(amp_a) ** 2)
+        pb = np.bincount(idx_b, weights=np.abs(amp_b) ** 2)
         # dH/dpsi* = -(log p_k + 1) per amplitude; the +1 terms sum to psi,
         # which is radial and projected out below.  Minimisers sit where
         # some p_k = 0, and then that cell's amplitudes are 0 too, so the
@@ -453,8 +464,9 @@ def certify_noncommutativity(
     verdict inherits their partition dependence: a coarse partition can
     leave a genuinely non-commuting pair ``"inconclusive"``.
     """
-    mu, pv = _analytic_bounds(a, b, eps, delta)
-    numeric = min_entropy_sum(a, b, eps, delta, opt)
+    pair = _decompose(a, b, eps, delta)
+    mu, pv = _overlap_bounds(*pair)
+    numeric = _min_entropy_sum(*pair, _checked(opt))
     cn = commutator_norm(a, b)
     best = max(mu, pv)
     verdict = "noncommuting" if best > threshold else "inconclusive"

@@ -283,8 +283,12 @@ class Scenario:
         return cfg
 
 
-def _parse_outcome(key: str):
-    """JSON object keys are strings; read them back as outcome labels."""
+def _parse_outcome(key: str, labels: dict):
+    """JSON object keys are strings; read them back as outcome labels: the
+    space's own outcome whose ``str`` is ``key`` (``labels`` maps each
+    ``str(o)`` to ``o``), else a number, else ``key`` itself."""
+    if key in labels:
+        return labels[key]
     for number in (int, float):
         try:
             return number(key)
@@ -367,9 +371,10 @@ def load_scenario(path) -> Scenario:
         where = f"variables.{vname}"
         vspec = _check_fields(_VARIABLE_FIELDS, vspec, where, SimpleNamespace(spaces=spaces, dimension=dimension))
         space_name = vspec["space"]
-        table = {_parse_outcome(k): v for k, v in vspec["values"].items()}
-        rv = _make(f"{where}.values", RandomVariable, vname, table)
         outcomes = spaces[space_name].outcomes
+        labels = {str(o): o for o in outcomes}
+        table = {_parse_outcome(k, labels): v for k, v in vspec["values"].items()}
+        rv = _make(f"{where}.values", RandomVariable, vname, table)
         missing = [o for o in outcomes if o not in rv.values]
         stray = [o for o in rv.values if o not in outcomes]
         if missing or stray:

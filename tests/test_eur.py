@@ -321,15 +321,25 @@ def _oracle_projectors(op, part):
     return [v[:, cell == i] @ v[:, cell == i].conj().T for i in range(len(part))]
 
 
+def _interleaved_partition(op):
+    """Alternate spectral cells in two partition cells, so that neither
+    partition cell is a contiguous run of the spectrum."""
+    cells = singleton_partition(op).cells
+    return SpectrumPartition.from_groups(
+        [v for c in cells[k::2] for v in c.values] for k in (0, 1) if cells[k::2]
+    )
+
+
 class TestOverlapTableOracle:
     """Both bounds against projector-level oracles built in the test."""
 
     @pytest.mark.parametrize("kind", SPECTRA)
-    @pytest.mark.parametrize("grain", ["singleton", "merged", "single_cell"])
+    @pytest.mark.parametrize("grain", ["singleton", "merged", "single_cell", "interleaved"])
     def test_bounds_match_projector_oracles(self, kind, grain):
         rng = np.random.default_rng(70 + SPECTRA.index(kind))
         for _ in range(12):
-            dim = int(rng.integers(2, 7))
+            # interleaved cells of degenerate spectra have mixed widths
+            dim = int(rng.integers(2, 11 if grain == "interleaved" else 7))
             a, b = (
                 HermitianOperator(u @ np.diag(_spectrum(rng, dim, kind)) @ u.conj().T)
                 for u in (random_unitary(rng, dim), random_unitary(rng, dim))
@@ -338,6 +348,8 @@ class TestOverlapTableOracle:
                 ea, eb = singleton_partition(a), singleton_partition(b)
             elif grain == "merged":
                 ea, eb = merged_partition(a, rng), merged_partition(b, rng)
+            elif grain == "interleaved":
+                ea, eb = _interleaved_partition(a), _interleaved_partition(b)
             else:
                 ea, eb = (
                     SpectrumPartition.single_cell(singleton_partition(op).ground_values())
@@ -589,6 +601,30 @@ class TestCertification:
             )
             if cert.verdict == "noncommuting":
                 assert commutator_norm(a, b) > 1e-9
+
+    def test_each_operator_is_decomposed_once(self, monkeypatch):
+        a, b = fourier_pair(4)
+        part = SpectrumPartition.singletons(range(1, 5))
+        real, calls = np.linalg.eigh, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        certify_noncommutativity(a, b, part, part, OptimizerConfig(restarts=2, max_iters=60))
+        assert len(calls) == 2
+
+    def test_partition_errors_come_before_optimizer_errors(self):
+        a, b = fourier_pair(4)
+        part = SpectrumPartition.singletons(range(1, 5))
+        bad = OptimizerConfig(restarts=0)
+        with pytest.raises(PartitionError, match="dims differ"):
+            certify_noncommutativity(a, HermitianOperator(PAULI_Z), part, PM, bad)
+        with pytest.raises(PartitionError, match="absent"):
+            certify_noncommutativity(a, b, SpectrumPartition.singletons(range(1, 6)), part, bad)
+        with pytest.raises(ValueError, match="restarts"):
+            certify_noncommutativity(a, b, part, part, bad)
 
     def test_inconsistent_verdict_rejected(self):
         a, b = pauli_pair()

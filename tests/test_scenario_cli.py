@@ -557,6 +557,18 @@ class TestScenarioObjects:
         assert resolve_scenario_path("die") == SHIPPED["die"]
         assert resolve_scenario_path("definitely-not-there") is None
 
+    def test_numeric_looking_string_outcomes_carry_a_variable(self, tmp_path):
+        payload = {
+            "name": "string-outcomes",
+            "dimension": 2,
+            "spaces": {"coin": {"outcomes": ["1", "2"], "weights": [0.5, 0.5]}},
+            "variables": {"side": {"space": "coin", "values": {"1": 0.0, "2": 1.0}}},
+            "tasks": [{"task": "entropy", "args": {"variable": "side"}}],
+        }
+        assert run_scenario(write_scenario(tmp_path, payload), out=tmp_path / "r.json") == 0
+        (item,) = json.loads((tmp_path / "r.json").read_text())["results"]
+        assert item["result"]["entropy_nats"] == pytest.approx(math.log(2.0), abs=1e-12)
+
     def test_execute_returns_report_and_flag(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path, MINIMAL))
         validate_scenario(scenario)
