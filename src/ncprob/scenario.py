@@ -962,17 +962,28 @@ def execute_scenario(scenario: Scenario, seed_override: int | None = None) -> tu
     return report, ok
 
 
+def _check_out(out: Path) -> None:
+    """Reject a report path that cannot be written, before any task runs."""
+    if out.is_dir():
+        raise ScenarioError(f"{str(out)!r} is a directory", field="out")
+    if not out.parent.is_dir():
+        raise ScenarioError(f"directory {str(out.parent)!r} of {str(out)!r} does not exist", field="out")
+
+
 def run_scenario(path, out=None, seed: int | None = None) -> int:
     """Load, validate and execute a scenario file; write the report.
 
     Returns the process exit code: 0 on success, 2 on validation errors
     (nothing is written), 3 when some task failed at runtime (the report,
     including error records, is still written).  The report goes to
-    ``out`` when given, else to stdout.
+    ``out`` when given, else to stdout; an ``out`` that is a directory, or
+    lies in a directory that does not exist, is a validation error.
     """
     import sys
 
     try:
+        if out is not None:
+            _check_out(Path(out))
         scenario = load_scenario(path)
         validate_scenario(scenario)
         report, ok = execute_scenario(scenario, seed_override=seed)  # raises only for the overrides

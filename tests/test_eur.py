@@ -37,6 +37,7 @@ from ncprob import (
     shannon_entropy,
     spectral_pvm,
 )
+import ncprob.eur as ncprob_eur
 from ncprob.eur import CERTIFICATION_THRESHOLD
 from ncprob.hilbert import PAULI_X, PAULI_Z, fourier_unitary
 
@@ -475,7 +476,29 @@ def _gradient_case(kind, rng):
     if kind == "single_cell":
         whole = SpectrumPartition.single_cell(singleton_partition(a).ground_values())
         return a, b, whole, singleton_partition(b)
+    if kind == "interleaved":
+        return a, b, _interleaved_partition(a), _interleaved_partition(b)
     return a, b, singleton_partition(a), singleton_partition(b)
+
+
+def _oracle_objective(a, b, eps, delta):
+    """The entropy sum and its sphere gradient in z = [Re psi; Im psi] by
+    the complex formula on explicit projectors: p_k = <psi|P_k|psi> and
+    dH/dpsi* = -sum_k (log p_k + 1) P_k psi, whose +1 terms are radial."""
+    projectors = _oracle_projectors(a, eps) + _oracle_projectors(b, delta)
+    d = a.dim
+
+    def fun(z):
+        nrm = np.linalg.norm(z)
+        psi = (z[:d] + 1j * z[d:]) / nrm
+        images = [p @ psi for p in projectors]
+        probs = [np.vdot(psi, x).real for x in images]
+        value = -sum(q * math.log(q) for q in probs if q > 0.0)
+        g = -2.0 * sum(math.log(max(q, 1e-300)) * x for q, x in zip(probs, images))
+        g = (g - np.vdot(psi, g).real * psi) / nrm
+        return value, np.concatenate([g.real, g.imag])
+
+    return fun
 
 
 class TestEntropySumGradient:
@@ -489,6 +512,28 @@ class TestEntropySumGradient:
             value, grad = fun(z)
             num = central_differences(fun, z)
             assert np.linalg.norm(grad - num) <= 1e-6 * np.linalg.norm(num)
+
+    @pytest.mark.parametrize("kind", ["generic", "degenerate", "coarse", "single_cell", "interleaved"])
+    def test_matches_the_complex_projector_oracle(self, monkeypatch, kind):
+        # Central differences allow 1e-6; the oracle pins value and
+        # gradient to rounding, and so do the sphere invariances.
+        rng = np.random.default_rng(82)
+        for _ in range(6):
+            a, b, eps, delta = _gradient_case(kind, rng)
+            fun = captured_objective(monkeypatch, a, b, eps, delta)
+            oracle = _oracle_objective(a, b, eps, delta)
+            for _ in range(4):
+                z = rng.standard_normal(2 * a.dim)
+                z *= rng.uniform(0.5, 2.0) / np.linalg.norm(z)
+                value, grad = fun(z)
+                want, want_grad = oracle(z)
+                assert abs(value - want) <= 1e-12
+                assert np.linalg.norm(grad - want_grad) <= 1e-10 * np.linalg.norm(want_grad)
+                c = rng.uniform(0.5, 2.0)
+                scaled, scaled_grad = fun(c * z)
+                assert abs(scaled - value) <= 1e-12
+                assert np.linalg.norm(scaled_grad - grad / c) <= 1e-10 * np.linalg.norm(grad / c)
+                assert abs(grad @ z) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(z)
 
     def test_vanishes_when_both_partitions_are_single_cells(self, monkeypatch):
         a, b = pauli_pair()
@@ -533,6 +578,45 @@ class TestEntropySumGradient:
             res = min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=8, max_iters=300, tol=1e-8))
             assert abs(res.value - math.log(16)) <= 1e-9
         assert 0 < counts[0] == counts[1] < 1000  # finite differences took 13,860
+
+
+class TestOptimizerCallContract:
+    """Optimizer work is observable from outside: every restart is one
+    scipy.optimize.minimize call, looked up on that module at call time,
+    and every objective evaluation goes through the function handed to it.
+    perfbench's optimizer counters wrap that call and nothing else."""
+
+    @pytest.mark.parametrize("restarts", [1, 3, 8])
+    def test_a_minimize_wrapper_sees_every_restart_and_evaluation(self, monkeypatch, restarts):
+        a, b = fourier_pair(4)
+        part = SpectrumPartition.singletons(range(1, 5))
+        opt = OptimizerConfig(restarts=restarts, max_iters=60)
+        plain = min_entropy_sum(a, b, part, part, opt)
+        real, calls, evaluations = scipy.optimize.minimize, [], []
+
+        def wrapper(fun, x0, **kwargs):
+            def counted(z):
+                evaluations.append(z)
+                return fun(z)
+
+            res = real(counted, x0, **kwargs)
+            calls.append((kwargs["method"], kwargs["jac"], int(res.nfev), int(res.nit)))
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", wrapper)
+        for run in (certify_noncommutativity, min_entropy_sum):
+            calls.clear()
+            evaluations.clear()
+            seen = run(a, b, part, part, opt)
+            seen = getattr(seen, "optimizer_evidence", seen)
+            assert len(calls) == restarts
+            assert {(m, j) for m, j, _, _ in calls} == {("L-BFGS-B", True)}
+            assert len(evaluations) == sum(n for _, _, n, _ in calls) > 0
+            assert seen.iterations == sum(it for _, _, _, it in calls)
+            assert (seen.value, seen.best_restart, seen.iterations) == (
+                plain.value, plain.best_restart, plain.iterations
+            )
+        assert not hasattr(ncprob_eur, "minimize")
 
 
 class TestCertification:

@@ -520,8 +520,21 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert json.loads(out)["scenario"] == "die"
 
+    @pytest.mark.parametrize("where", ["missing/r.json", "."], ids=["missing_directory", "a_directory"])
+    def test_unwritable_out_exits_2_before_any_task_runs(self, tmp_path, capsys, monkeypatch, where):
+        def no_tasks(*args, **kwargs):
+            raise AssertionError("tasks ran for a report that cannot be written")
+
+        monkeypatch.setattr(scenario_module, "execute_scenario", no_tasks)
+        out = tmp_path / where
+        assert main(["run", "die", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: out: ") and repr(str(out)) in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_scenarios_without_an_optimizer_never_import_scipy_optimize(self, tmp_path):
-        # scipy.optimize costs about 0.45 s per process; only certify needs it.
+        # scipy.optimize takes 0.4-0.75 s to import in a fresh process; only certify needs it.
         code = (
             "import sys\n"
             "import ncprob\n"
