@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classical import Distribution, shannon_entropy
-from .errors import PartitionError
+from .errors import DimensionError, PartitionError
 from .hilbert import (
     PVM,
     HermitianOperator,
@@ -181,13 +181,16 @@ def partition_probabilities(state, pvm: PVM, part: SpectrumPartition) -> Distrib
 
     Support labels are the partition cells' minima (distinct for disjoint
     cells; the value itself for singleton cells).  Each PVM cell's
-    Re tr(rho P) is added into the partition cell it falls inside.
+    Re tr(W* rho W), from its isometry W, is added into the partition cell
+    it falls inside.
     """
-    rho = _as_density(state).matrix
+    rho = _as_density(state)
+    if rho.dim != pvm.dim:
+        raise DimensionError(f"state dim {rho.dim} != PVM dim {pvm.dim}")
     labels = list(pvm.labels)
     if not all(isinstance(lb, SpectralCell) for lb in labels):
         raise PartitionError("the PVM must carry spectral-cell labels")
-    weights = [np.vdot(proj, rho).real for proj in pvm.projectors]  # tr(rho P), P Hermitian
+    weights = [np.vdot(w, rho.matrix @ w).real for _, w in pvm.isometries]
     probs = np.bincount(_assign_to_partition(labels, part), weights=weights, minlength=len(part))
     return Distribution([c.representative for c in part.cells], np.maximum(probs, 0.0))
 
@@ -197,9 +200,11 @@ def epsilon_entropy(state, op: HermitianOperator, part: SpectrumPartition) -> fl
 
     Each cell's probability is the sum of <w|rho|w> over the eigenvectors w
     in it, so no d x d projector is formed."""
-    rho = _as_density(state).matrix
+    rho = _as_density(state)
+    if rho.dim != op.dim:
+        raise DimensionError(f"state dim {rho.dim} != operator dim {op.dim}")
     w, idx = _partition_isometries(op, part)
-    diag = ((rho @ w) * w.conj()).sum(axis=0).real
+    diag = ((rho.matrix @ w) * w.conj()).sum(axis=0).real
     probs = np.maximum(np.bincount(idx, weights=diag, minlength=len(part)), 0.0)
     return shannon_entropy(Distribution([c.representative for c in part.cells], probs))
 

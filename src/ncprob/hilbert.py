@@ -4,12 +4,15 @@ Classical laws become diagonal operators here, and everything a finite
 spectral calculus needs lives in this module: Hermitian/density/pure-state
 wrappers with strict construction-time checks, projector-valued measures,
 spectral decomposition with degeneracy clustering, joint measures for
-commuting pairs, a Gram-matrix GNS construction, CHSH evaluation,
-dispersion, and the projector lattice.
+commuting pairs, a Gram-matrix GNS construction, CHSH evaluation and
+dispersion.
 
 Conventions
 -----------
 * Operator norm means the spectral (2-) norm throughout.
+* A PVM cell is held as an isometry W (projector W W*), so building and
+  reading a PVM costs O(d^3); no d x d projector is formed unless a
+  caller asks for ``PVM.projectors``.
 * Eigen-decompositions are made deterministic: eigenvalues ascending, and
   each eigenvector is rescaled so its largest-magnitude entry (ties: the
   lowest index) is real and positive.
@@ -35,7 +38,8 @@ from .errors import (
 #: Maximum entrywise deviation from Hermitian symmetry accepted at
 #: construction; the stored matrix is then exactly symmetrised.
 HERMITIAN_TOL = 1e-10
-#: Tolerance for the PVM axioms (idempotency, orthogonality, completeness).
+#: Tolerance for the PVM axioms: ||S* S - I|| <= this for the stacked cell
+#: isometries S, which covers idempotency, orthogonality and completeness.
 PVM_TOL = 1e-10
 #: Density operators: trace within this of 1, eigenvalues >= -this.
 DENSITY_TOL = 1e-10
@@ -223,11 +227,16 @@ class PVM:
     """A projector-valued measure: labelled cells with orthogonal
     projectors summing to the identity.
 
-    Each projector must satisfy P = P* = P^2 within ``PVM_TOL``; distinct
-    cells must be orthogonal and the whole family complete.
+    Each cell is stored as ``(label, W)`` with W an isometry whose columns
+    span the cell's range, so its projector is P = W W*.  One check covers
+    every axiom (Hermitian, idempotent, orthogonal, complete): the stacked
+    isometries S = [W_1 ... W_k] hold d columns and ||S* S - I|| <=
+    ``PVM_TOL``.  ``PVM(cells)`` takes (label, projector) pairs and
+    factorises each projector with one ``eigh``; ``cells``, ``projectors``
+    and iteration give the projectors back as W W*.
     """
 
-    __slots__ = ("cells",)
+    __slots__ = ("isometries",)
 
     def __init__(self, cells: Iterable[tuple[object, np.ndarray]]):
         entries = []
@@ -235,45 +244,61 @@ class PVM:
             p = matrix_of(proj)
             if float(np.abs(p - p.conj().T).max()) > PVM_TOL:
                 raise ValueError(f"cell {label!r}: projector not Hermitian")
-            if operator_norm(p @ p - p) > PVM_TOL:
+            w, v = np.linalg.eigh((p + p.conj().T) / 2)
+            if float(np.abs(w * (w - 1.0)).max()) > PVM_TOL:  # ||P^2 - P||
                 raise ValueError(f"cell {label!r}: projector not idempotent")
-            entries.append((label, _frozen(p)))
+            entries.append((label, v[:, w > 0.5]))
+        self._store(entries)
+
+    @classmethod
+    def _from_isometries(cls, cells: Iterable[tuple[object, np.ndarray]]) -> PVM:
+        pvm = object.__new__(cls)
+        pvm._store(cells)
+        return pvm
+
+    def _store(self, cells) -> None:
+        entries = tuple((label, _frozen(w)) for label, w in cells)
         if not entries:
             raise ValueError("a PVM needs at least one cell")
         dim = entries[0][1].shape[0]
-        if any(p.shape[0] != dim for _, p in entries):
+        if any(w.shape[0] != dim for _, w in entries):
             raise DimensionError("all projectors must share one dimension")
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if operator_norm(entries[i][1] @ entries[j][1]) > PVM_TOL:
-                    raise ValueError(
-                        f"cells {entries[i][0]!r} and {entries[j][0]!r} are not orthogonal"
-                    )
-        total = sum(p for _, p in entries)
-        if float(np.abs(total - np.eye(dim)).max()) > PVM_TOL:
+        stacked = np.hstack([w for _, w in entries])
+        dev = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
+        if operator_norm(dev) > PVM_TOL:
+            # every W comes from eigh, so its own block of S* S is I to rounding
+            # and the worst entry lies between two overlapping cells
+            owner = np.repeat(np.arange(len(entries)), [w.shape[1] for _, w in entries])
+            i, j = sorted(owner[list(np.unravel_index(np.argmax(np.abs(dev)), dev.shape))])
+            raise ValueError(f"cells {entries[i][0]!r} and {entries[j][0]!r} are not orthogonal")
+        if stacked.shape[1] != dim:
             raise ValueError("projectors do not sum to the identity")
-        self.cells = tuple(entries)
+        self.isometries = entries
 
     @property
     def dim(self) -> int:
-        return self.cells[0][1].shape[0]
+        return self.isometries[0][1].shape[0]
 
     @property
     def labels(self) -> tuple:
-        return tuple(label for label, _ in self.cells)
+        return tuple(label for label, _ in self.isometries)
 
     @property
     def projectors(self) -> tuple:
-        return tuple(proj for _, proj in self.cells)
+        return tuple(w @ w.conj().T for _, w in self.isometries)
+
+    @property
+    def cells(self) -> tuple:
+        return tuple(zip(self.labels, self.projectors))
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.isometries)
 
     def __iter__(self):
         return iter(self.cells)
 
     def __repr__(self) -> str:
-        return f"PVM(dim={self.dim}, cells={len(self.cells)})"
+        return f"PVM(dim={self.dim}, cells={len(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +358,18 @@ def observable_from_distribution(dist: Distribution) -> tuple[HermitianOperator,
     The operator is diag(support) on C^len(support); the PVM has one
     singleton cell per support value, labelled by that value's cell.
     """
-    d = len(dist)
     op = HermitianOperator(np.diag(np.asarray(dist.support, dtype=complex)))
-    cells = []
-    for i, x in enumerate(dist.support):
-        p = np.zeros((d, d), dtype=complex)
-        p[i, i] = 1.0
-        cells.append((SpectralCell((x,)), p))
-    return op, PVM(cells)
+    eye = np.eye(len(dist), dtype=complex)
+    cells = [(SpectralCell((x,)), eye[:, [i]]) for i, x in enumerate(dist.support)]
+    return op, PVM._from_isometries(cells)
+
+
+def _spectral_sum(isos: Sequence[np.ndarray], values: Sequence[float]) -> np.ndarray:
+    """sum_i values[i] W_i W_i*, formed as one product V diag(y) V* over the
+    isometries V = [W_1 ... W_k] side by side, so no per-cell projector."""
+    v = np.hstack(isos)
+    y = np.repeat(np.asarray(values, dtype=float), [w.shape[1] for w in isos])
+    return (v * y) @ v.conj().T
 
 
 def density_from_distribution(dist: Distribution, pvm: PVM) -> DensityOperator:
@@ -349,8 +378,7 @@ def density_from_distribution(dist: Distribution, pvm: PVM) -> DensityOperator:
         raise DimensionError(
             f"distribution has {len(dist)} values but the PVM has {len(pvm)} cells"
         )
-    total = sum(p * proj for p, proj in zip(dist.probs, pvm.projectors))
-    return DensityOperator(total)
+    return DensityOperator(_spectral_sum([w for _, w in pvm.isometries], dist.probs))
 
 
 def spectral_pvm(op: HermitianOperator, degeneracy_tol: float | None = None) -> PVM:
@@ -361,10 +389,7 @@ def spectral_pvm(op: HermitianOperator, degeneracy_tol: float | None = None) -> 
     (absolute when the radius is below 1); pass 0.0 to split everything
     except exact duplicates.
     """
-    cells = _clustered_eigensystem(op, degeneracy_tol)
-    return PVM(
-        [(cell, iso @ iso.conj().T) for cell, iso in cells]
-    )
+    return PVM._from_isometries(_clustered_eigensystem(op, degeneracy_tol))
 
 
 def apply_function(f, op: HermitianOperator) -> HermitianOperator:
@@ -375,17 +400,16 @@ def apply_function(f, op: HermitianOperator) -> HermitianOperator:
     duplicate eigenvalues share a cell; distinct ones are kept apart.
     """
     cells = _clustered_eigensystem(op, 0.0)
-    out = np.zeros_like(op.matrix)
-    for cell, iso in cells:
+    ys = []
+    for cell, _ in cells:
         x = cell.mean
         try:
-            y = _evaluate(f, x)
+            ys.append(_evaluate(f, x))
         except DomainError:
             raise
         except Exception as exc:
             raise DomainError(f"function undefined at eigenvalue {x!r}: {exc}") from exc
-        out = out + float(y) * (iso @ iso.conj().T)
-    return HermitianOperator(out)
+    return HermitianOperator(_spectral_sum([iso for _, iso in cells], ys))
 
 
 def _evaluate(f, x: float) -> float:
@@ -418,7 +442,8 @@ def _cell_label_value(label) -> float:
 
 
 def spectral_measure(state, pvm: PVM) -> Distribution:
-    """Measurement law of a PVM in a state: prob(cell) = <P> in the state.
+    """Measurement law of a PVM in a state: prob(cell) = <P> in the state,
+    computed as Re tr(W* rho W) from the cell's isometry W.
 
     The output support carries each cell's representative value (the cell
     minimum; equal to the eigenvalue itself for singleton cells).
@@ -427,8 +452,8 @@ def spectral_measure(state, pvm: PVM) -> Distribution:
     if rho.dim != pvm.dim:
         raise DimensionError(f"state dim {rho.dim} != PVM dim {pvm.dim}")
     pairs = []
-    for label, proj in pvm:
-        p = float(np.trace(rho.matrix @ proj).real)
+    for label, w in pvm.isometries:
+        p = float(np.vdot(w, rho.matrix @ w).real)
         if p < -1e-10:
             raise ValueError(f"cell {label!r}: negative probability {p!r}")
         pairs.append((_cell_label_value(label), max(p, 0.0)))
@@ -510,9 +535,7 @@ def joint_pvm(
     Raises :class:`NonCommutingError` when ||[A,B]|| > ``comm_tol``.
     """
     blocks = _joint_blocks(a, b, comm_tol)
-    return PVM(
-        [((ca, cb), iso @ iso.conj().T) for ca, cb, iso in blocks]
-    )
+    return PVM._from_isometries(((ca, cb), iso) for ca, cb, iso in blocks)
 
 
 def common_refiner(
@@ -526,14 +549,9 @@ def common_refiner(
     The joint cells of the pair are enumerated 0..m-1; C = sum_k k*Q_k.
     """
     blocks = _joint_blocks(a, b, comm_tol)
-    dim = a.dim
-    c = np.zeros((dim, dim), dtype=complex)
-    f1: dict[int, float] = {}
-    f2: dict[int, float] = {}
-    for k, (cell_a, cell_b, iso) in enumerate(blocks):
-        c = c + float(k) * (iso @ iso.conj().T)
-        f1[k] = cell_a.mean
-        f2[k] = cell_b.mean
+    c = _spectral_sum([iso for _, _, iso in blocks], range(len(blocks)))
+    f1 = {k: cell_a.mean for k, (cell_a, _, _) in enumerate(blocks)}
+    f2 = {k: cell_b.mean for k, (_, cell_b, _) in enumerate(blocks)}
     return HermitianOperator(c), f1, f2
 
 
@@ -685,7 +703,10 @@ def chsh_beta(a1, a2, b1, b2, omega) -> float:
     """
     ops = [matrix_of(x) for x in (a1, a2, b1, b2)]
     names = ("a1", "a2", "b1", "b2")
+    rho = _as_density(omega)
     for name, m in zip(names, ops):
+        if m.shape[0] != rho.dim:
+            raise DimensionError(f"state dim {rho.dim} != {name} dim {m.shape[0]}")
         nrm = operator_norm(m)
         if nrm > 1.0 + 1e-9:
             raise HypothesisError(f"||{name}|| = {nrm!r} exceeds 1")
@@ -697,7 +718,6 @@ def chsh_beta(a1, a2, b1, b2, omega) -> float:
                     f"[{names[i]},{names[j]}] has norm {c:.3e}; the two sides must commute"
                 )
     ma1, ma2, mb1, mb2 = ops
-    rho = _as_density(omega)
     functional = ma1 @ (mb1 + mb2) + ma2 @ (mb1 - mb2)
     return float(np.trace(rho.matrix @ functional).real)
 
@@ -726,80 +746,3 @@ def dispersion_free_state(
     blocks = _joint_blocks(a, b, comm_tol)
     iso = blocks[0][2]
     return PureState(iso[:, 0])
-
-
-# ---------------------------------------------------------------------------
-# projector lattice
-
-
-def _check_projector(p) -> np.ndarray:
-    m = matrix_of(p)
-    if float(np.abs(m - m.conj().T).max()) > PVM_TOL:
-        raise ValueError("lattice input is not Hermitian")
-    if operator_norm(m @ m - m) > PVM_TOL:
-        raise ValueError("lattice input is not idempotent")
-    return m
-
-
-def _null_space_projector(psd: np.ndarray, threshold: float = 1e-9) -> np.ndarray:
-    """Projector onto the null space of a PSD matrix (eigenvalues <= threshold)."""
-    w, v = _fixed_phase_eigh((psd + psd.conj().T) / 2)
-    cols = v[:, w <= threshold]
-    if cols.shape[1] == 0:
-        return np.zeros_like(psd)
-    return cols @ cols.conj().T
-
-
-def complement_projector(p) -> np.ndarray:
-    """Orthocomplement I - P."""
-    m = _check_projector(p)
-    return np.eye(m.shape[0]) - m
-
-
-def meet_projector(p, q) -> np.ndarray:
-    """Projector onto range(P) ∩ range(Q).
-
-    Commuting inputs use the product PQ; otherwise the intersection is
-    the null space of (I-P) + (I-Q) (eigenvalue threshold 1e-9).
-    """
-    mp, mq = _check_projector(p), _check_projector(q)
-    if mp.shape != mq.shape:
-        raise DimensionError("projectors must share one dimension")
-    if commutator_norm(mp, mq) <= 1e-10:
-        prod = mp @ mq
-        return (prod + prod.conj().T) / 2
-    eye = np.eye(mp.shape[0])
-    return _null_space_projector((eye - mp) + (eye - mq))
-
-
-def join_projector(p, q) -> np.ndarray:
-    """Projector onto range(P) + range(Q).
-
-    Commuting inputs use P + Q - PQ; otherwise the range sum is the
-    orthocomplement of the joint null space of P and Q.
-    """
-    mp, mq = _check_projector(p), _check_projector(q)
-    if mp.shape != mq.shape:
-        raise DimensionError("projectors must share one dimension")
-    if commutator_norm(mp, mq) <= 1e-10:
-        prod = mp @ mq
-        out = mp + mq - (prod + prod.conj().T) / 2
-        return out
-    return np.eye(mp.shape[0]) - _null_space_projector(mp + mq)
-
-
-def is_distributive_triple(p, q, r, tol: float = 1e-9) -> bool:
-    """Whether P ∧ (Q ∨ R) = (P ∧ Q) ∨ (P ∧ R) within ``tol``."""
-    left = meet_projector(p, join_projector(q, r))
-    right = join_projector(meet_projector(p, q), meet_projector(p, r))
-    return operator_norm(left - right) <= tol
-
-
-def is_orthomodular_pair(p, q, tol: float = 1e-9) -> bool:
-    """The orthomodular law for the pair: if P <= Q then
-    Q = P ∨ (Q ∧ P^c).  Pairs with P not below Q satisfy it vacuously."""
-    mp, mq = _check_projector(p), _check_projector(q)
-    if operator_norm(mq @ mp - mp) > tol:  # P <= Q fails
-        return True
-    recovered = join_projector(mp, meet_projector(mq, complement_projector(mp)))
-    return operator_norm(recovered - mq) <= tol

@@ -660,7 +660,7 @@ def _run_joint_pvm(scenario, args, opt):
     )
     return {
         "cells": [[ca.representative, cb.representative] for ca, cb in pvm.labels],
-        "ranks": [int(round(float(np.trace(p).real))) for p in pvm.projectors],
+        "ranks": [w.shape[1] for _, w in pvm.isometries],
         "marginal_residual": residual,
     }
 

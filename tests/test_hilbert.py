@@ -1,9 +1,11 @@
-"""Operators, PVMs, spectral calculus, joint measurements, GNS, CHSH, lattice."""
+"""Operators, PVMs, spectral calculus, joint measurements, GNS, CHSH, dispersion."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     conjugated_diagonal_pair,
@@ -23,6 +25,7 @@ from ncprob import (
     PVM,
     PureState,
     SpectralCell,
+    SpectrumPartition,
     apply_function,
     chsh_beta,
     common_refiner,
@@ -30,9 +33,11 @@ from ncprob import (
     density_from_distribution,
     dispersion,
     dispersion_free_state,
+    epsilon_entropy,
     gns_construct,
     joint_pvm,
     observable_from_distribution,
+    partition_probabilities,
     spectral_measure,
     spectral_pvm,
     trace_expectation,
@@ -41,13 +46,9 @@ from ncprob.hilbert import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    complement_projector,
+    _clustered_eigensystem,
     fourier_unitary,
     hadamard_unitary,
-    is_distributive_triple,
-    is_orthomodular_pair,
-    join_projector,
-    meet_projector,
     operator_norm,
 )
 
@@ -107,6 +108,11 @@ class TestPVMValidation:
         p0 = np.diag([1.0, 0.0])
         with pytest.raises(ValueError):
             PVM([("a", plus), ("b", p0), ("c", np.eye(2) - plus - p0)])
+
+    def test_rejects_overlapping_projectors_naming_both_cells(self):
+        plus = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="cells 'zero' and 'plus' are not orthogonal"):
+            PVM([("zero", np.diag([1.0, 0.0])), ("plus", plus)])
 
 
 class TestSpectralCell:
@@ -196,6 +202,48 @@ class TestSpectralPVM:
         second = spectral_pvm(op)
         for (_, p1), (_, p2) in zip(first.cells, second.cells):
             assert np.array_equal(p1, p2)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        kind=st.sampled_from(["generic", "degenerate", "near_degenerate"]),
+    )
+    def test_projectors_are_the_eigensystem_products(self, seed, dim, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "degenerate":
+            vals = rng.choice([-1.0, 0.5, 2.0], size=dim)
+        else:
+            vals = rng.uniform(-3.0, 3.0, size=dim)
+            if kind == "near_degenerate" and dim > 1:
+                # a gap below or above the default clustering tolerance
+                vals[1] = vals[0] + rng.choice([1e-10, 1e-6])
+        u = random_unitary(rng, dim)
+        op = HermitianOperator(u @ np.diag(vals) @ u.conj().T)
+        pvm = spectral_pvm(op)
+        system = _clustered_eigensystem(op, None)
+        assert pvm.labels == tuple(cell for cell, _ in system)
+        for proj, (_, iso) in zip(pvm.projectors, system, strict=True):
+            assert np.array_equal(proj, iso @ iso.conj().T)
+        back = PVM(pvm.cells)
+        assert back.labels == pvm.labels
+        for p1, p2 in zip(back.projectors, pvm.projectors, strict=True):
+            assert np.abs(p1 - p2).max() <= 1e-12
+
+    def test_one_spectral_norm_per_construction(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        u = random_unitary(rng, 16)
+        op = HermitianOperator(u @ np.diag(np.arange(1.0, 17.0)) @ u.conj().T)
+        real, calls = np.linalg.norm, []
+
+        def counting(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(np.shape(x))
+            return real(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        assert len(spectral_pvm(op)) == 16
+        assert len(calls) <= 1
 
 
 class TestApplyFunction:
@@ -493,43 +541,19 @@ class TestDispersion:
             )
 
 
-class TestProjectorLattice:
-    def test_complement(self):
-        p = np.diag([1.0, 0.0, 0.0])
-        assert np.allclose(complement_projector(p), np.diag([0.0, 1.0, 1.0]))
+_OP3 = HermitianOperator(np.diag([-1.0, 0.0, 1.0]))
+_PART3 = SpectrumPartition.singletons([-1.0, 0.0, 1.0])
 
-    def test_commuting_meet_and_join(self):
-        p = np.diag([1.0, 1.0, 0.0])
-        q = np.diag([0.0, 1.0, 1.0])
-        assert np.allclose(meet_projector(p, q), np.diag([0.0, 1.0, 0.0]), atol=1e-10)
-        assert np.allclose(join_projector(p, q), np.eye(3), atol=1e-10)
 
-    def test_non_commuting_meet_is_zero_join_is_identity(self):
-        p = np.diag([1.0, 0.0])
-        plus = np.full((2, 2), 0.5)
-        assert operator_norm(meet_projector(p, plus)) <= 1e-9
-        assert operator_norm(join_projector(p, plus) - np.eye(2)) <= 1e-9
-
-    def test_distributivity_holds_for_commuting_triples(self):
-        p = np.diag([1.0, 0.0, 0.0])
-        q = np.diag([0.0, 1.0, 0.0])
-        r = np.diag([0.0, 0.0, 1.0])
-        assert is_distributive_triple(p, q, r)
-
-    def test_distributivity_fails_for_superposition_triple(self):
-        p = np.diag([1.0, 0.0])
-        plus = np.full((2, 2), 0.5)
-        minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        assert not is_distributive_triple(p, plus, minus)
-
-    def test_orthomodularity_on_nested_projectors(self):
-        rng = np.random.default_rng(44)
-        for _ in range(10):
-            u = random_unitary(rng, 4)
-            q = u @ np.diag([1.0, 1.0, 1.0, 0.0]) @ u.conj().T
-            p = u @ np.diag([1.0, 0.0, 0.0, 0.0]) @ u.conj().T
-            assert is_orthomodular_pair(p, q)
-
-    def test_non_projector_rejected(self):
-        with pytest.raises(ValueError):
-            meet_projector(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: partition_probabilities(s, spectral_pvm(_OP3), _PART3),
+        lambda s: epsilon_entropy(s, _OP3, _PART3),
+        lambda s: chsh_beta(_OP3, _OP3, _OP3, _OP3, s),
+    ],
+    ids=["partition_probabilities", "epsilon_entropy", "chsh_beta"],
+)
+def test_state_of_another_dimension_is_a_dimension_error(call):
+    with pytest.raises(DimensionError, match=r"state dim 2 != \w+ dim 3"):
+        call(basis_state(2, 0))
