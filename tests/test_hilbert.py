@@ -114,6 +114,28 @@ class TestPVMValidation:
         with pytest.raises(ValueError, match="cells 'zero' and 'plus' are not orthogonal"):
             PVM([("zero", np.diag([1.0, 0.0])), ("plus", plus)])
 
+    def test_rejects_non_hermitian_naming_the_cell(self):
+        skew = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="cell 'skew': projector not Hermitian"):
+            PVM([("skew", skew), ("rest", np.eye(2) - skew)])
+
+    def test_rejects_empty_family(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            PVM([])
+
+    def test_rejects_cells_of_different_dimensions(self):
+        with pytest.raises(DimensionError):
+            PVM([("a", np.diag([1.0, 0.0])), ("b", np.diag([0.0, 0.0, 1.0]))])
+
+    def test_stored_isometries_have_the_cell_ranks(self):
+        rng = np.random.default_rng(13)
+        u = random_unitary(rng, 5)
+        blocks = [u[:, :1], u[:, 1:3], u[:, 3:]]
+        pvm = PVM([(k, b @ b.conj().T) for k, b in enumerate(blocks)])
+        assert [w.shape for _, w in pvm.isometries] == [(5, 1), (5, 2), (5, 2)]
+        for _, w in pvm.isometries:
+            assert np.abs(w.conj().T @ w - np.eye(w.shape[1])).max() <= 1e-12
+
 
 class TestSpectralCell:
     def test_values_are_never_coerced(self):
