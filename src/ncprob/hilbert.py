@@ -562,44 +562,45 @@ def common_refiner(
 class GNSRepresentation:
     """Result of a GNS construction over a matrix algebra and a state.
 
+    The orthonormal quotient basis is held as matrices E_l = sum_j
+    cols[j, l] a_j, and every representation matrix comes from one
+    formula: pi(x)[k, l] = <e_k, x e_l>_omega = Tr(E_k* x E_l rho).
+
     Attributes
     ----------
     rep_dim:
         Dimension of the quotient representation space.
     images:
-        One representation matrix per input basis element, expressed in
-        an orthonormal basis of the quotient.
+        pi(a_i) for each input basis element.  The quotient basis comes from
+        a Gram eigendecomposition, so the images are fixed only up to a
+        unitary, as any GNS representation is.
     cyclic_vector:
-        The class of the algebra unit; a unit vector cyclic for the
-        represented algebra.
+        The class of the algebra unit, psi_k = Tr(E_k* rho); a unit vector
+        cyclic for the represented algebra.
     """
 
-    __slots__ = ("rep_dim", "images", "cyclic_vector", "_basis_pinv", "_basis_vecs")
+    __slots__ = ("rep_dim", "images", "cyclic_vector", "_flat", "_flat_pinv", "_quotient_conj", "_quotient_rho")
 
-    def __init__(self, rep_dim, images, cyclic_vector, basis_pinv, basis_vecs):
-        self.rep_dim = rep_dim
-        self.images = images
-        self.cyclic_vector = cyclic_vector
-        self._basis_pinv = basis_pinv
-        self._basis_vecs = basis_vecs
+    def __init__(self, basis, rho, quotient, flat, flat_pinv):
+        self.rep_dim = len(quotient)
+        self._flat, self._flat_pinv = flat, flat_pinv
+        self._quotient_conj = quotient.reshape(self.rep_dim, -1).conj()
+        self._quotient_rho = quotient @ rho
+        self.images = tuple(_frozen(self._pi(m)) for m in basis)
+        self.cyclic_vector = PureState(self._quotient_conj @ rho.reshape(-1))
+
+    def _pi(self, m: np.ndarray) -> np.ndarray:
+        return self._quotient_conj @ (m @ self._quotient_rho).reshape(self.rep_dim, -1).T
 
     def represent(self, element) -> np.ndarray:
-        """Representation matrix of an arbitrary algebra element.
-
-        The element must lie in the span of the input basis (residual
-        <= 1e-8 relative); the representation acts linearly through the
-        basis expansion.
-        """
+        """Representation matrix of an arbitrary algebra element, which must
+        lie in the span of the input basis (residual <= 1e-8 relative)."""
         m = matrix_of(element)
         vec = m.reshape(-1)
-        coeff = self._basis_pinv @ vec
-        resid = float(np.linalg.norm(self._basis_vecs @ coeff - vec))
+        resid = float(np.linalg.norm(vec @ self._flat_pinv @ self._flat - vec))
         if resid > 1e-8 * max(1.0, float(np.linalg.norm(vec))):
             raise AlgebraError(f"element lies outside the algebra span (residual {resid:.3e})")
-        out = np.zeros((self.rep_dim, self.rep_dim), dtype=complex)
-        for c, img in zip(coeff, self.images):
-            out = out + c * img
-        return out
+        return self._pi(m)
 
 
 #: Gram eigenvalues at or below this threshold are treated as the null
@@ -616,78 +617,60 @@ def gns_construct(algebra_basis: Sequence, omega: DensityOperator) -> GNSReprese
 
     ``algebra_basis`` must span a unital *-closed algebra (identity,
     adjoints and pairwise products all within span, relative residual
-    <= ``GNS_SPAN_TOL``).  The Gram matrix G[i,j] = Tr(rho a_i* a_j) is
-    diagonalised; eigenvalues <= ``GNS_NULL_TOL`` span the null space.
-    The returned cyclic vector Psi satisfies
+    <= ``GNS_SPAN_TOL``; the products a_i [a_1 ... a_n] are checked as one
+    stack per i).  The Gram matrix G[i,j] = Tr(rho a_i* a_j) is
+    diagonalised; eigenvalues <= ``GNS_NULL_TOL`` span the null space, and
+    the others give the orthonormal quotient basis E_l of
+    :class:`GNSRepresentation`.  The returned cyclic vector Psi satisfies
     <Psi| pi(a) Psi> = Tr(rho a) for every basis element (checked to 1e-9).
     """
-    basis = [matrix_of(m) for m in algebra_basis]
-    if not basis:
+    mats = [matrix_of(m) for m in algebra_basis]
+    if not mats:
         raise AlgebraError("empty algebra basis")
-    d = basis[0].shape[0]
-    if any(m.shape != (d, d) for m in basis):
+    d = mats[0].shape[0]
+    if any(m.shape != (d, d) for m in mats):
         raise DimensionError("algebra basis matrices must share one shape")
     if omega.dim != d:
         raise DimensionError(f"state dim {omega.dim} != algebra dim {d}")
 
-    n = len(basis)
-    vecs = np.column_stack([m.reshape(-1) for m in basis])  # d^2 x n
-    pinv = np.linalg.pinv(vecs)
+    basis = np.array(mats)  # n x d x d
+    flat = basis.reshape(len(basis), -1)  # row j is a_j
+    flat_pinv = np.linalg.pinv(flat)
 
-    def _span_residual(m: np.ndarray) -> float:
-        v = m.reshape(-1)
-        resid = float(np.linalg.norm(vecs @ (pinv @ v) - v))
-        return resid / max(1.0, float(np.linalg.norm(v)))
+    def _outside(ms: np.ndarray) -> np.ndarray:
+        """Which of the stacked matrices leave the span; argmax is the first."""
+        y = ms.reshape(len(ms), -1)
+        resid = np.linalg.norm(y @ flat_pinv @ flat - y, axis=1)
+        return resid > GNS_SPAN_TOL * np.maximum(1.0, np.linalg.norm(y, axis=1))
 
-    eye = np.eye(d, dtype=complex)
-    if _span_residual(eye) > GNS_SPAN_TOL:
+    if _outside(np.eye(d, dtype=complex)[None]).any():
         raise AlgebraError("identity is not in the span of the basis")
-    for i, m in enumerate(basis):
-        if _span_residual(m.conj().T) > GNS_SPAN_TOL:
-            raise AlgebraError(f"basis element {i} has its adjoint outside the span")
-    prod_coeff = np.empty((n, n, n), dtype=complex)  # [i][m][j]: a_i a_j = sum_m c a_m
+    if (bad := _outside(basis.conj().transpose(0, 2, 1))).any():
+        raise AlgebraError(f"basis element {bad.argmax()} has its adjoint outside the span")
     for i, mi in enumerate(basis):
-        for j, mj in enumerate(basis):
-            p = mi @ mj
-            if _span_residual(p) > GNS_SPAN_TOL:
-                raise AlgebraError(f"product of basis elements {i},{j} leaves the span")
-            prod_coeff[i, :, j] = pinv @ p.reshape(-1)
+        if (bad := _outside(mi @ basis)).any():
+            raise AlgebraError(f"product of basis elements {i},{bad.argmax()} leaves the span")
 
     rho = omega.matrix
-    gram = np.empty((n, n), dtype=complex)
-    for i, mi in enumerate(basis):
-        for j, mj in enumerate(basis):
-            gram[i, j] = np.trace(rho @ mi.conj().T @ mj)
-    gram = (gram + gram.conj().T) / 2
-
-    lam, vv = np.linalg.eigh(gram)
+    gram = flat.conj() @ (basis @ rho).reshape(len(basis), -1).T
+    lam, vv = np.linalg.eigh((gram + gram.conj().T) / 2)
     keep = lam > GNS_NULL_TOL
     rep_dim = int(keep.sum())
     if rep_dim == 0:
         raise AlgebraError("state annihilates the whole algebra")
     cols = vv[:, keep] / np.sqrt(lam[keep])  # n x rep_dim, orthonormal in <.,.>_omega
+    rep = GNSRepresentation(basis, rho, (cols.T @ flat).reshape(rep_dim, d, d), flat, flat_pinv)
 
-    images = []
-    for i in range(n):
-        action = prod_coeff[i] @ cols  # coefficients of a_i * e_l
-        images.append(_frozen(cols.conj().T @ gram @ action))
-
-    unit_coeff = pinv @ eye.reshape(-1)
-    psi = cols.conj().T @ gram @ unit_coeff
-    cyclic = PureState(psi)
-
-    for i, (img, mi) in enumerate(zip(images, basis)):
-        got = complex(psi.conj() @ (img @ psi))
-        want = complex(np.trace(rho @ mi))
+    psi = rep.cyclic_vector.vector
+    orbit = np.array([img @ psi for img in rep.images])  # row i is pi(a_i) psi
+    for i, (got, want) in enumerate(zip(orbit @ psi.conj(), flat @ rho.T.reshape(-1))):  # want: Tr(a_i rho)
         if abs(got - want) > 1e-9:
             raise AlgebraError(
-                f"state reproduction failed on basis element {i}: |{got!r} - {want!r}|"
+                f"state reproduction failed on basis element {i}: |{complex(got)!r} - {complex(want)!r}|"
             )
-    orbit = np.column_stack([img @ psi for img in images])
     if np.linalg.matrix_rank(orbit, tol=1e-8) != rep_dim:
         raise AlgebraError("cyclic vector does not generate the representation space")
-
-    return GNSRepresentation(rep_dim, tuple(images), cyclic, pinv, vecs)
+    return rep
 
 
 # ---------------------------------------------------------------------------

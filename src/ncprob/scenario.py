@@ -56,6 +56,10 @@ TOOL_NAME = "ncprob"
 MAX_DIMENSION = 1024
 #: Largest accepted ``lln`` trial count (80 MB of draws).
 MAX_TRIALS = 10_000_000
+#: Largest ``dimension`` a ``gns`` task accepts, per algebra: the full
+#: algebra's images alone hold d^6 complex numbers (one BLAS thread: about
+#: 3.3 s and 300 MB at d = 16, 16 s and 1 GB at d = 20; diagonal, d = 64: 2 s).
+MAX_GNS_DIMENSION = {"full": 16, "diagonal": 64}
 #: Largest accepted optimizer restart count, from the file or the
 #: environment: each restart is a full L-BFGS-B run, so an unchecked
 #: count can keep a run busy for hours.
@@ -557,20 +561,10 @@ def _check_chsh(scenario, args, where):
 
 
 def _gns_basis(kind: str, d: int):
+    """The matrix units E_ij in row-major order, or the diagonal ones E_ii."""
     if kind == "full":
-        basis = []
-        for i in range(d):
-            for j in range(d):
-                m = np.zeros((d, d), dtype=complex)
-                m[i, j] = 1.0
-                basis.append(m)
-        return basis
-    basis = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    return basis
+        return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return np.array([np.diag(row) for row in np.eye(d, dtype=complex)])
 
 
 def _run_gns(scenario, args, opt):
@@ -590,6 +584,16 @@ def _run_gns(scenario, args, opt):
         "representation_dim": rep.rep_dim,
         "reproduction_error": float(err),
     }
+
+
+def _check_gns(scenario, args, where):
+    """The dimension is within the algebra's ceiling."""
+    limit = MAX_GNS_DIMENSION[args["algebra"]]
+    if scenario.dimension > limit:
+        raise ScenarioError(
+            f"the {args['algebra']} algebra takes dimension at most {limit}, scenario has {scenario.dimension}",
+            field=f"{where}.algebra",
+        )
 
 
 def _run_interference(scenario, args, opt):
@@ -647,21 +651,28 @@ def _check_lln(scenario, args, where):
         )
 
 
+def _marginal_residual(pvm, apvm) -> float:
+    """Largest ||P - Q||_2 over the cells of A, P = W W* in ``apvm`` and Q = V V*
+    the sum of its joint projectors in ``pvm``, read from the isometries:
+    ||P - Q|| = max(||(I - P)Q||, ||(I - Q)P||) = max(||V - W(W*V)||, ||W - V(V*W)||)."""
+    joint: dict[float, list] = {}
+    for (ca, _), v in pvm.isometries:
+        joint.setdefault(ca.representative, []).append(v)
+    residual = 0.0
+    for c, w in apvm.isometries:
+        v = np.hstack(joint[c.representative])
+        for x, y in ((v, w), (w, v)):
+            residual = max(residual, float(np.linalg.norm(x - y @ (y.conj().T @ x), 2)))
+    return residual
+
+
 def _run_joint_pvm(scenario, args, opt):
     ta, tb = _operator_pair(scenario, args, "dist_a", "dist_b")
     pvm = hilbert.joint_pvm(ta, tb)
-    marg: dict[float, np.ndarray] = {}
-    for (ca, _), proj in pvm:
-        marg[ca.representative] = marg.get(ca.representative, 0) + proj
-    apvm = hilbert.spectral_pvm(ta)
-    residual = max(
-        float(np.linalg.norm(marg[c.representative] - p, 2))
-        for (c, p) in apvm
-    )
     return {
         "cells": [[ca.representative, cb.representative] for ca, cb in pvm.labels],
         "ranks": [w.shape[1] for _, w in pvm.isometries],
-        "marginal_residual": residual,
+        "marginal_residual": _marginal_residual(pvm, hilbert.spectral_pvm(ta)),
     }
 
 
@@ -730,10 +741,12 @@ TASKS: dict[str, TaskDef] = {
     "gns": TaskDef(
         "Cyclic representation of the full or diagonal matrix algebra with a diagonal state built from a named law's probabilities.",
         {
-            "algebra": Arg(Choice(("full", "diagonal")), "the matrix algebra"),
+            "algebra": Arg(Choice(tuple(MAX_GNS_DIMENSION)), "the matrix algebra; "
+                           + ", ".join(f"{k!r} takes dimension <= {v}" for k, v in MAX_GNS_DIMENSION.items())),
             "state": Arg(_LAW, "law whose probabilities form the diagonal state"),
         },
         _run_gns,
+        _check_gns,
     ),
     "interference": TaskDef(
         "Total-probability defect delta(x) of the scenario kernel at two conditional laws.",

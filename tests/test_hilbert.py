@@ -1,6 +1,7 @@
 """Operators, PVMs, spectral calculus, joint measurements, GNS, CHSH, dispersion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from ncprob import (
     trace_expectation,
 )
 from ncprob.hilbert import (
+    GNS_NULL_TOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -489,6 +491,72 @@ class TestGNS:
         e10 = e01.T.copy()
         with pytest.raises(AlgebraError):
             gns_construct([e01, e10], DensityOperator(np.eye(2) / 2))
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ([np.diag([0.0, 1.0]), np.diag([1.0, 0.0]) + PAULI_X], "identity is not in the span of the basis"),
+            # the adjoints of elements 1 and 2 both leave the span: the first is named
+            ([np.eye(2), np.triu(np.ones((2, 2))), np.diag([1.0, 0.0]) + 2 * np.triu(np.ones((2, 2)), 1)],
+             "basis element 1 has its adjoint outside the span"),
+            # products (1, 2) and (2, 1) both leave the span: row-major order names (1, 2)
+            ([np.eye(2), np.diag([1.0, 0.0]), PAULI_X], "product of basis elements 1,2 leaves the span"),
+        ],
+        ids=["identity", "adjoint", "product"],
+    )
+    def test_closure_errors_name_the_first_offender(self, basis, message):
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            gns_construct(basis, DensityOperator(np.eye(2) / 2))
+
+    def test_peak_memory_of_the_full_algebra_at_d8(self):
+        # the construction keeps O(n^2) numbers for n = d^2 basis elements:
+        # an n^3 structure tensor alone would be 4 MiB here
+        d = 8
+        basis = self.full_algebra(d)
+        rho = random_density(np.random.default_rng(38), d, rank=1)
+        tracemalloc.start()
+        try:
+            rep = gns_construct(basis, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.rep_dim == d
+        assert peak < 1_000_000
+
+    @staticmethod
+    def other_basis(kind, d, rng):
+        """A basis of a *-algebra that is not a set of matrix units."""
+        u = random_unitary(rng, d)
+        if kind == "rotated_units":
+            return [u @ m @ u.conj().T for m in TestGNS.full_algebra(d)]
+        if kind == "rotated_diagonal":
+            return [u @ np.diag(row) @ u.conj().T for row in np.eye(d, dtype=complex)]
+        # M_2 + C^(d-2): the 2 x 2 units in the top corner and the diagonal
+        # units below it, recombined by a random invertible matrix
+        blocks = [np.pad(m, (0, d - 2)) for m in TestGNS.full_algebra(2)]
+        blocks += [np.diag(row) for row in np.eye(d, dtype=complex)[2:]]
+        mix = rng.normal(size=(len(blocks), len(blocks))) + 1j * rng.normal(size=(len(blocks), len(blocks)))
+        return list(np.tensordot(mix, np.array(blocks), axes=1))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["rotated_units", "block_recombined", "rotated_diagonal"])
+    def test_invariants_on_other_bases_and_every_rank(self, kind, d):
+        # images are fixed only up to a unitary, so the test checks what a
+        # GNS representation determines: its dimension, the state's form on
+        # the orbit of Psi, and the *-homomorphism property
+        rng = np.random.default_rng(39 + 7 * d)
+        for rank in range(1, d + 1):
+            basis = self.other_basis(kind, d, rng)
+            rho = random_density(rng, d, rank=rank).matrix
+            gram = np.array([[np.trace(rho @ x.conj().T @ y) for y in basis] for x in basis])
+            rep = gns_construct(basis, DensityOperator(rho))
+            assert rep.rep_dim == int((np.linalg.eigvalsh((gram + gram.conj().T) / 2) > GNS_NULL_TOL).sum())
+            orbit = np.column_stack([img @ rep.cyclic_vector.vector for img in rep.images])
+            assert np.abs(orbit.conj().T @ orbit - gram).max() <= 1e-10
+            for x, px in zip(basis, rep.images):
+                assert np.abs(rep.represent(x.conj().T) - px.conj().T).max() <= 1e-9
+                for y, py in zip(basis, rep.images):
+                    assert np.abs(rep.represent(x @ y) - px @ py).max() <= 1e-9
 
 
 class TestCHSH:

@@ -16,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncprob
+from helpers import conjugated_diagonal_pair
+from ncprob import joint_pvm, spectral_pvm
 from ncprob import scenario as scenario_module
 from ncprob.cli import main
 from ncprob.errors import ScenarioError
@@ -299,6 +301,35 @@ class TestValidationErrors:
         assert "scenario error: tasks[2].args.trials:" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @staticmethod
+    def gns_payload(algebra, d):
+        return {
+            "name": "gns-ceiling",
+            "dimension": d,
+            "distributions": {"flat": {"support": list(range(d)), "probs": [1 / d] * d}},
+            "tasks": [{"task": "gns", "args": {"algebra": algebra, "state": "flat"}}],
+        }
+
+    @pytest.mark.parametrize("algebra, d", [("full", 17), ("diagonal", 65)])
+    def test_gns_past_its_ceiling_exits_2_before_any_construction(
+        self, tmp_path, capsys, monkeypatch, algebra, d
+    ):
+        def no_gns(*args):
+            raise AssertionError("a GNS construction ran past the ceiling")
+
+        monkeypatch.setattr(scenario_module.hilbert, "gns_construct", no_gns)
+        out = tmp_path / "r.json"
+        assert main(["run", str(write_scenario(tmp_path, self.gns_payload(algebra, d))), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error: tasks[0].args.algebra:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algebra", ["full", "diagonal"])
+    def test_gns_at_its_ceiling_validates(self, tmp_path, algebra):
+        d = scenario_module.MAX_GNS_DIMENSION[algebra]
+        validate_scenario(load_scenario(write_scenario(tmp_path, self.gns_payload(algebra, d))))
+
 
 _LLN = ("tasks", 2, "args")  # die.scenario
 _OVERLAP = ("tasks", 1, "args")  # fourier2.scenario
@@ -491,6 +522,9 @@ class TestTaskCatalogue:
         assert "  seed (optional; integer >= 0): " in text
         assert "  event (required; name in 'contexts'): " in text
 
+    def test_describe_gns_states_the_dimension_ceilings(self):
+        assert "'full' takes dimension <= 16, 'diagonal' takes dimension <= 64" in describe_task("gns")
+
     def test_describe_unknown_task_raises(self):
         with pytest.raises(KeyError):
             describe_task("nope")
@@ -561,6 +595,19 @@ class TestCommandLine:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("ncprob ")
+
+
+class TestJointPVMTask:
+    def test_marginal_residual_matches_the_projector_formula(self):
+        rng = np.random.default_rng(4711)
+        for k in range(300):
+            a, b = conjugated_diagonal_pair(rng, 2 + k % 7, repeats=bool(k % 2))
+            pvm, apvm = joint_pvm(a, b), spectral_pvm(a)
+            marginals = {}
+            for (cell_a, _), proj in pvm:
+                marginals[cell_a.representative] = marginals.get(cell_a.representative, 0) + proj
+            want = max(np.linalg.norm(marginals[cell.representative] - proj, 2) for cell, proj in apvm)
+            assert abs(scenario_module._marginal_residual(pvm, apvm) - want) <= 1e-13
 
 
 class TestScenarioObjects:
