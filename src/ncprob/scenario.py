@@ -24,6 +24,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -573,16 +574,11 @@ def _run_gns(scenario, args, opt):
     probs = scenario.distributions[args["state"]].probs
     rho = DensityOperator(np.diag(np.asarray(probs, dtype=complex)))
     rep = hilbert.gns_construct(basis, rho)
-    err = max(
-        abs(complex(rep.cyclic_vector.vector.conj() @ (img @ rep.cyclic_vector.vector))
-            - complex(np.trace(rho.matrix @ m)))
-        for img, m in zip(rep.images, basis)
-    )
     return {
         "algebra": args["algebra"],
         "algebra_size": len(basis),
         "representation_dim": rep.rep_dim,
-        "reproduction_error": float(err),
+        "reproduction_error": rep.reproduction_error,
     }
 
 
@@ -823,34 +819,6 @@ def validate_scenario(scenario: Scenario) -> None:
 # serialization
 
 
-def _payload(value):
-    """Convert task results to JSON-emittable structures.
-
-    Complex scalars and complex-typed arrays become [re, im] pairs;
-    real-typed arrays stay plain numbers.
-    """
-    if isinstance(value, dict):
-        return {k: _payload(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_payload(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return _payload([[float(z.real), float(z.imag)] for z in value] if value.ndim == 1
-                            else [[[float(z.real), float(z.imag)] for z in row] for row in value])
-        return _payload(value.tolist())
-    if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if value is None or isinstance(value, str):
-        return value
-    raise TypeError(f"cannot serialise {type(value).__name__}")
-
-
 def certificate_payload(cert: eur.EURCertificate) -> dict:
     ev = cert.optimizer_evidence
     return {
@@ -876,68 +844,83 @@ def certificate_payload(cert: eur.EURCertificate) -> dict:
     }
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot emit non-finite float {x!r}")
-    s = format(x + 0.0, ".17g")  # + 0.0 folds -0.0 into 0.0
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+#: Values a one-line list may hold; a complex number is a pair, so it may not.
+_SCALARS = (type(None), bool, int, float, str, np.bool_, np.integer, np.floating)
+
+
+def _float_texts(xs) -> list[str]:
+    """Finite floats, -0.0 already folded, at 17 significant digits; an
+    integral one gains ".0"."""
+    return [s if "." in s or "e" in s else s + ".0" for s in map(format, xs, repeat(".17g"))]
 
 
 def dumps_report(obj) -> str:
-    """Deterministic JSON text: 2-space indent, insertion order, floats at
-    17 significant digits."""
+    """Deterministic JSON text of task results as the runners return them.
+
+    Dicts keep insertion order, nested lines indent by 2 spaces, and a list,
+    tuple or 1-d array of scalars sits on one line.  Floats carry 17
+    significant digits, -0.0 is written 0.0, and a non-finite float raises
+    ValueError.  A complex number is an [re, im] pair, so a complex array is
+    written as a real one with a trailing axis of 2.  Besides these, only
+    None, bool, int and str (or their numpy kinds) are accepted; anything
+    else raises TypeError.
+    """
     out: list[str] = []
-    _emit(obj, out, 0)
+    _write(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, out: list, indent: int) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _write(obj, out: list, indent: int) -> None:
+    """Append the text of ``obj`` to ``out``, its nested lines ``indent`` levels deep."""
+    if isinstance(obj, (float, complex, np.floating, np.complexfloating)):
+        obj = np.asarray(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
+        # One finiteness check and one -0.0 fold per array, not per entry.
+        a = np.asarray(np.stack((obj.real, obj.imag), axis=-1) if obj.dtype.kind == "c" else obj, dtype=float)
+        if not np.isfinite(a).all():
+            raise ValueError(f"cannot emit non-finite float {float(a[~np.isfinite(a)][0])!r}")
+        a = a + 0.0
+        if a.ndim == 0:
+            out.append(_float_texts([float(a)])[0])
+            return
+        if a.ndim == 1:
+            out.append("[" + ", ".join(_float_texts(a.tolist())) + "]")
+            return
+        if a.ndim == 2 and a.size:
+            # The block's texts in one pass, then taken a row's length at a time.
+            texts = iter(_float_texts(a.ravel().tolist()))
+            inner = "  " * (indent + 1)
+            rows = [inner + "[" + ", ".join(row) + "]" for row in zip(*[texts] * a.shape[1])]
+            out.append("[\n" + ",\n".join(rows) + "\n" + "  " * indent + "]")
+            return
+        obj = list(a)
+    elif isinstance(obj, np.ndarray):
+        obj = obj.tolist()  # integer, boolean and object arrays
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{inner}{json.dumps(str(k))}: ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+        brackets, items = "{}", [(json.dumps(str(k)) + ": ", v) for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        simple = all(isinstance(v, (int, float, bool, str, type(None))) for v in obj)
-        if simple:
-            parts = [_scalar(v) for v in obj]
+        values = [v[()] if isinstance(v, np.ndarray) and v.ndim == 0 else v for v in obj]
+        if values and all(isinstance(v, _SCALARS) for v in values):
+            parts: list[str] = []
+            for v in values:
+                _write(v, parts, 0)
             out.append("[" + ", ".join(parts) + "]")
             return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(inner)
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_scalar(obj))
-
-
-def _scalar(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot emit {type(obj).__name__}")
+        brackets, items = "[]", [("", v) for v in values]
+    else:  # None, bool, int or str
+        out.append(json.dumps(obj.item() if isinstance(obj, np.generic) else obj))
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = "  " * (indent + 1)
+    out.append(brackets[0] + "\n")
+    for i, (prefix, v) in enumerate(items):
+        out.append(inner + prefix)
+        _write(v, out, indent + 1)
+        out.append(",\n" if i < len(items) - 1 else "\n")
+    out.append("  " * indent + brackets[1])
 
 
 # ---------------------------------------------------------------------------
@@ -945,22 +928,26 @@ def _scalar(obj) -> str:
 
 
 def execute_scenario(scenario: Scenario, seed_override: int | None = None) -> tuple[dict, bool]:
-    """Run all tasks in order; returns (report dict, all_ok)."""
+    """Run all tasks in order; returns (report dict, all_ok).
+
+    Each entry holds the task's arguments and result as they are, for
+    :func:`dumps_report` to write, and ``timing.wall_clock_s`` times each
+    task's run alone.
+    """
     opt = scenario.effective_optimizer(seed_override)
     results = []
     wall = []
     ok = True
     for tspec in scenario.tasks:
         td = TASKS[tspec.name]
+        entry = {"task": tspec.name, "args": tspec.args}
         t0 = time.perf_counter()
-        entry = {"task": tspec.name, "args": _payload(tspec.args)}
         try:
             entry["status"] = "ok"
-            entry["result"] = _payload(td.run(scenario, tspec.args, opt))
+            entry["result"] = td.run(scenario, tspec.args, opt)
         except Exception as exc:
             ok = False
             entry["status"] = "error"
-            entry.pop("result", None)
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
         wall.append(time.perf_counter() - t0)
         results.append(entry)

@@ -551,8 +551,12 @@ class TestGNS:
             gram = np.array([[np.trace(rho @ x.conj().T @ y) for y in basis] for x in basis])
             rep = gns_construct(basis, DensityOperator(rho))
             assert rep.rep_dim == int((np.linalg.eigvalsh((gram + gram.conj().T) / 2) > GNS_NULL_TOL).sum())
-            orbit = np.column_stack([img @ rep.cyclic_vector.vector for img in rep.images])
+            psi = rep.cyclic_vector.vector
+            orbit = np.column_stack([img @ psi for img in rep.images])
             assert np.abs(orbit.conj().T @ orbit - gram).max() <= 1e-10
+            # the stored reproduction error is the worst |<Psi|pi(x)Psi> - Tr(rho x)| over the basis
+            want = max(abs(complex(psi.conj() @ px @ psi) - complex(np.trace(rho @ x))) for x, px in zip(basis, rep.images))
+            assert abs(rep.reproduction_error - want) <= 1e-12
             for x, px in zip(basis, rep.images):
                 assert np.abs(rep.represent(x.conj().T) - px.conj().T).max() <= 1e-9
                 for y, py in zip(basis, rep.images):

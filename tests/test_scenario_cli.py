@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ncprob
 from helpers import conjugated_diagonal_pair
@@ -155,6 +156,131 @@ _REPORT_VALUES = st.recursive(
 )
 
 
+# A two-pass reference writer, the oracle for dumps_report: _payload turns
+# task results into plain lists and numbers, and _emit writes those.
+
+
+def _payload(value):
+    """Convert task results to JSON-emittable structures.
+
+    Complex scalars and complex-typed arrays become [re, im] pairs;
+    real-typed arrays stay plain numbers.
+    """
+    if isinstance(value, dict):
+        return {k: _payload(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_payload(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            return _payload([[float(z.real), float(z.imag)] for z in value] if value.ndim == 1
+                            else [[[float(z.real), float(z.imag)] for z in row] for row in value])
+        return _payload(value.tolist())
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if value is None or isinstance(value, str):
+        return value
+    raise TypeError(f"cannot serialise {type(value).__name__}")
+
+
+def _format_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError(f"cannot emit non-finite float {x!r}")
+    s = format(x + 0.0, ".17g")  # + 0.0 folds -0.0 into 0.0
+    if not any(c in s for c in ".eE"):
+        s += ".0"
+    return s
+
+
+def _oracle_dumps(value) -> str:
+    out: list[str] = []
+    _emit(_payload(value), out, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(obj, out: list, indent: int) -> None:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(f"{inner}{json.dumps(str(k))}: ")
+            _emit(v, out, indent + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        simple = all(isinstance(v, (int, float, bool, str, type(None))) for v in obj)
+        if simple:
+            parts = [_scalar(v) for v in obj]
+            out.append("[" + ", ".join(parts) + "]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(obj):
+            out.append(inner)
+            _emit(v, out, indent + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        out.append(_scalar(obj))
+
+
+def _scalar(obj) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot emit {type(obj).__name__}")
+
+
+_F64 = _FINITE | st.sampled_from([5e-324, -5e-324, 2.225073858507201e-308, -1e-310])
+_C128 = st.builds(complex, _F64, _F64)
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)
+#: Everything a runner may return, within what the oracle can convert: it
+#: has no rule for a 0-d complex array or a complex one of more than 2 axes.
+_ORACLE_LEAVES = st.one_of(
+    _F64,
+    _F64.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    _C128,
+    _C128.map(np.complex128),
+    st.none(),
+    st.text(max_size=3),
+    hnp.arrays(np.float64, _SHAPES, elements=_F64),
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3), elements=_C128),
+    hnp.arrays(np.int64, _SHAPES),
+    hnp.arrays(np.bool_, _SHAPES),
+)
+_ORACLE_VALUES = st.recursive(
+    _ORACLE_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text("abc", max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+
+
 class TestReportFormat:
     def test_report_is_json_with_float_round_trip(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL)
@@ -177,12 +303,39 @@ class TestReportFormat:
     @given(value=_REPORT_VALUES)
     @example(value={"x": -0.0, "z": np.array([complex(-0.0, -0.0)]), "m": np.array([[complex(-0.0, 1.0)]])})
     def test_no_negative_zero_and_json_round_trip(self, value):
-        # task results reach dumps_report through _payload, as in execute_scenario
-        payload = scenario_module._payload(value)
-        text = dumps_report(payload)
+        # task results reach dumps_report as the runners return them; the
+        # oracle conversion below gives the structure the text must parse to
+        text = dumps_report(value)
         tokens = []
-        assert json.loads(text, parse_float=lambda tok: tokens.append(tok) or float(tok)) == payload
+        assert json.loads(text, parse_float=lambda tok: tokens.append(tok) or float(tok)) == _payload(value)
         assert not [tok for tok in tokens if tok.startswith("-") and float(tok) == 0.0]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(value=_ORACLE_VALUES)
+    @example(value={"s": np.zeros((0, 2)), "w": np.zeros((2, 0), dtype=complex), "e": [(), {}, []], "t": (np.float32(0.1),)})
+    def test_matches_the_two_pass_oracle(self, value):
+        assert dumps_report(value) == _oracle_dumps(value)
+
+    def test_arrays_the_oracle_cannot_convert(self):
+        # a 0-d complex array is its complex scalar; a 3-d one is the list of its 2-d slices
+        assert dumps_report(np.array(complex(1.0, -0.0))) == dumps_report(complex(1.0, -0.0)) == "[1.0, 0.0]\n"
+        cube = np.arange(8.0).reshape(2, 2, 2) * (1 - 1j)
+        assert dumps_report({"c": cube}) == _oracle_dumps({"c": list(cube)})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            math.nan,
+            np.float32(math.inf),
+            np.array([[1.0, 2.0], [3.0, -math.inf]]),
+            np.array([[1 + 1j, 2.0], [3.0, complex(4.0, math.nan)]]),
+            np.array([1.0, np.longdouble(1e300) ** 2], dtype=np.longdouble),  # finite only past binary64
+        ],
+        ids=["float", "float32", "real-2d-entry", "complex-2d-imaginary-part", "longdouble-past-binary64"],
+    )
+    def test_non_finite_value_anywhere_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_report({"results": [{"result": {"ok": [1.0, 2], "bad": bad}}]})
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL)
