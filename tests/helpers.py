@@ -6,7 +6,10 @@ test pins its own seed and stays bit-reproducible.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.optimize
 
 from ncprob import (
     DensityOperator,
@@ -96,3 +99,43 @@ def merged_partition(op: HermitianOperator, rng: np.random.Generator) -> Spectru
         groups.append(SpectralCell(merged))
         start = cut
     return SpectrumPartition(groups)
+
+
+@dataclass
+class MinimizeCall:
+    """One scipy.optimize.minimize call: what it was handed, what it
+    reported, and how often it called ``fun``."""
+
+    fun: object
+    jac: object
+    method: str | None
+    fun_calls: int = 0
+    nfev: int = -1
+    nit: int = -1
+
+
+class MinimizeSpy:
+    """Stands in for scipy.optimize.minimize while ``monkeypatch`` is
+    active: records every call in ``calls`` and hands on a ``fun`` that
+    counts its own calls, as perfbench's optimizer counters do."""
+
+    def __init__(self, monkeypatch):
+        self.real = scipy.optimize.minimize
+        self.calls: list[MinimizeCall] = []
+        monkeypatch.setattr(scipy.optimize, "minimize", self)
+
+    def __call__(self, fun, x0, **kwargs):
+        call = MinimizeCall(fun, kwargs.get("jac"), kwargs.get("method"))
+        self.calls.append(call)
+
+        def counted(z):
+            call.fun_calls += 1
+            return fun(z)
+
+        res = self.real(counted, x0, **kwargs)
+        call.nfev, call.nit = int(res.nfev), int(res.nit)
+        return res
+
+    @property
+    def fun_calls(self) -> int:
+        return sum(c.fun_calls for c in self.calls)

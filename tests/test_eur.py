@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    MinimizeSpy,
     conjugated_diagonal_pair,
     merged_partition,
     random_density,
@@ -432,6 +432,23 @@ class TestMinEntropySum:
             analytic = max(maassen_uffink_bound(a, b), partovi_bound(a, b, ea, eb))
             assert res.value >= analytic - 1e-4
 
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_tied_restarts_go_to_the_lowest_index(self, d):
+        # Every restart here ends within 1e-14 of ln d; rounding alone
+        # ranks them, so the tie rule must pick restart 0.
+        a, b = fourier_pair(d)
+        part = SpectrumPartition.singletons(range(1, d + 1))
+        res = min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=8, max_iters=300, tol=1e-8))
+        assert res.best_restart == 0
+        assert abs(res.value - math.log(d)) <= 1e-12
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        a, b = fourier_pair(4)
+        part = SpectrumPartition.singletons(range(1, 5))
+        with pytest.raises(ValueError, match="tol"):
+            min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=4, tol=tol))
+
     def test_pure_states_reach_the_mixed_infimum(self):
         # Mixing can never help: the best pure state ties or beats a
         # sample of mixed states on the d=2 grid.
@@ -444,19 +461,19 @@ class TestMinEntropySum:
             assert res.value <= mixed + 1e-6
 
 
-def captured_objective(monkeypatch, a, b, eps, delta):
-    """The (value, gradient) objective that min_entropy_sum hands to
-    L-BFGS-B, caught by wrapping scipy.optimize.minimize."""
-    real, seen = scipy.optimize.minimize, []
-
-    def spy(fun, x0, **kwargs):
-        seen.append(fun)
-        return real(fun, x0, **kwargs)
-
+def captured_callables(monkeypatch, a, b, eps, delta):
+    """The ``fun`` and ``jac`` that min_entropy_sum hands to L-BFGS-B,
+    caught by a scipy.optimize.minimize spy."""
     with monkeypatch.context() as m:
-        m.setattr(scipy.optimize, "minimize", spy)
+        spy = MinimizeSpy(m)
         min_entropy_sum(a, b, eps, delta, OptimizerConfig(restarts=1, max_iters=1))
-    return seen[0]
+    return spy.calls[0].fun, spy.calls[0].jac
+
+
+def captured_objective(monkeypatch, a, b, eps, delta):
+    """The minimiser's objective as z -> (value, gradient)."""
+    fun, jac = captured_callables(monkeypatch, a, b, eps, delta)
+    return lambda z: (fun(z), jac(z))
 
 
 def central_differences(fun, z, h=1e-6):
@@ -563,28 +580,45 @@ class TestEntropySumGradient:
     def test_d16_fourier_reaches_ln_d_in_few_evaluations(self, monkeypatch):
         a, b = fourier_pair(16)
         part = SpectrumPartition.singletons(range(1, 17))
-        real, counts = scipy.optimize.minimize, []
-
-        def counting(fun, x0, **kwargs):
-            def counted(z):
-                counts[-1] += 1
-                return fun(z)
-
-            return real(counted, x0, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        spy, counts = MinimizeSpy(monkeypatch), []
         for _ in range(2):
-            counts.append(0)
+            spy.calls.clear()
             res = min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=8, max_iters=300, tol=1e-8))
             assert abs(res.value - math.log(16)) <= 1e-9
+            counts.append(spy.fun_calls)
         assert 0 < counts[0] == counts[1] < 1000  # finite differences took 13,860
+
+
+class TestGradientCache:
+    """L-BFGS-B gets one evaluation's value from ``fun`` and its gradient
+    from ``jac``; ``jac`` evaluates afresh only at a point ``fun`` did not
+    evaluate last."""
+
+    def test_jac_returns_the_gradient_fun_just_computed(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        a, b, eps, delta = _gradient_case("generic", rng)
+        fun, jac = captured_callables(monkeypatch, a, b, eps, delta)
+        oracle = _oracle_objective(a, b, eps, delta)
+        z, fresh = rng.standard_normal((2, 2 * a.dim))
+        value = fun(z)
+        grad = jac(z.copy())
+        assert jac(z) is grad
+        want, want_grad = oracle(z)
+        assert abs(value - want) <= 1e-12
+        assert np.linalg.norm(grad - want_grad) <= 1e-10 * np.linalg.norm(want_grad)
+        # a point fun never saw: jac evaluates it, and the cache stays put
+        want_grad = oracle(fresh)[1]
+        assert np.linalg.norm(jac(fresh) - want_grad) <= 1e-10 * np.linalg.norm(want_grad)
+        assert jac(z) is grad
 
 
 class TestOptimizerCallContract:
     """Optimizer work is observable from outside: every restart is one
-    scipy.optimize.minimize call, looked up on that module at call time,
-    and every objective evaluation goes through the function handed to it.
-    perfbench's optimizer counters wrap that call and nothing else."""
+    scipy.optimize.minimize call, looked up on that module at call time.
+    L-BFGS-B gets one evaluation's value and gradient through two
+    callables, ``fun`` and ``jac``, and every evaluation passes once through
+    the ``fun`` handed to minimize.  perfbench's optimizer counters wrap
+    that call and that ``fun``, and nothing else."""
 
     @pytest.mark.parametrize("restarts", [1, 3, 8])
     def test_a_minimize_wrapper_sees_every_restart_and_evaluation(self, monkeypatch, restarts):
@@ -592,27 +626,16 @@ class TestOptimizerCallContract:
         part = SpectrumPartition.singletons(range(1, 5))
         opt = OptimizerConfig(restarts=restarts, max_iters=60)
         plain = min_entropy_sum(a, b, part, part, opt)
-        real, calls, evaluations = scipy.optimize.minimize, [], []
-
-        def wrapper(fun, x0, **kwargs):
-            def counted(z):
-                evaluations.append(z)
-                return fun(z)
-
-            res = real(counted, x0, **kwargs)
-            calls.append((kwargs["method"], kwargs["jac"], int(res.nfev), int(res.nit)))
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "minimize", wrapper)
+        spy = MinimizeSpy(monkeypatch)
         for run in (certify_noncommutativity, min_entropy_sum):
-            calls.clear()
-            evaluations.clear()
+            spy.calls.clear()
             seen = run(a, b, part, part, opt)
             seen = getattr(seen, "optimizer_evidence", seen)
-            assert len(calls) == restarts
-            assert {(m, j) for m, j, _, _ in calls} == {("L-BFGS-B", True)}
-            assert len(evaluations) == sum(n for _, _, n, _ in calls) > 0
-            assert seen.iterations == sum(it for _, _, _, it in calls)
+            assert len(spy.calls) == restarts
+            assert all(c.method == "L-BFGS-B" and callable(c.jac) for c in spy.calls)
+            assert [c.fun_calls for c in spy.calls] == [c.nfev for c in spy.calls]
+            assert spy.fun_calls > 0
+            assert seen.iterations == sum(c.nit for c in spy.calls)
             assert (seen.value, seen.best_restart, seen.iterations) == (
                 plain.value, plain.best_restart, plain.iterations
             )
