@@ -1,12 +1,17 @@
 """Command-line entry point: run scenario files, list and describe tasks.
 
-Exit codes: 0 success, 2 validation/usage error, 3 task runtime error
-(the report, with error records, is still written).
+Exit codes: 0 success, 2 validation/usage error or a report that cannot be
+written, 3 task runtime error (the report, with error records, is still
+written).
+
+``main`` serves in-process callers and leaves the garbage collector alone;
+``process_main`` is the entry of the ``ncprob`` process itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import __version__
@@ -70,5 +75,24 @@ def main(argv=None) -> int:
     return 2
 
 
+def process_main(argv=None) -> int:
+    """Run :func:`main` as a whole process: the ``ncprob`` script and
+    ``python -m ncprob.cli``.
+
+    The cyclic collector is switched off for the run and the heap is frozen
+    before returning, so neither the collector's passes while scipy's
+    modules import nor the collection at interpreter exit scan the objects
+    those modules leave behind.  A run leaves only a few hundred small
+    cyclic objects and no arrays, and the process ends right after.  Call it
+    only where the process ends when it returns; in-process callers use
+    :func:`main`.
+    """
+    gc.disable()
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

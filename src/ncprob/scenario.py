@@ -974,10 +974,11 @@ def run_scenario(path, out=None, seed: int | None = None) -> int:
     """Load, validate and execute a scenario file; write the report.
 
     Returns the process exit code: 0 on success, 2 on validation errors
-    (nothing is written), 3 when some task failed at runtime (the report,
-    including error records, is still written).  The report goes to
-    ``out`` when given, else to stdout; an ``out`` that is a directory, or
-    lies in a directory that does not exist, is a validation error.
+    (nothing is written) or when writing the report to ``out`` fails, 3 when
+    some task failed at runtime (the report, including error records, is
+    still written).  The report goes to ``out`` when given, else to stdout;
+    an ``out`` that is a directory, or lies in a directory that does not
+    exist, is a validation error.
     """
     import sys
 
@@ -994,7 +995,12 @@ def run_scenario(path, out=None, seed: int | None = None) -> int:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"scenario error: out: cannot write report to {str(out)!r}: {reason}", file=sys.stderr)
+            return 2
     return 0 if ok else 3
 
 

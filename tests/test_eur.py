@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     MinimizeSpy,
     conjugated_diagonal_pair,
+    fourier_pair,
     merged_partition,
     random_density,
     random_hermitian,
@@ -39,21 +40,13 @@ from ncprob import (
 )
 import ncprob.eur as ncprob_eur
 from ncprob.eur import CERTIFICATION_THRESHOLD
-from ncprob.hilbert import PAULI_X, PAULI_Z, fourier_unitary
+from ncprob.hilbert import PAULI_X, PAULI_Z
 
 PAULI_PARTOVI = 2.0 * math.log(2.0 / (1.0 + 1.0 / math.sqrt(2.0)))
 
 
 def pauli_pair():
     return HermitianOperator(PAULI_Z), HermitianOperator(PAULI_X)
-
-
-def fourier_pair(d):
-    u = fourier_unitary(d)
-    vals = np.arange(1.0, d + 1.0)
-    a = HermitianOperator(np.diag(vals))
-    b = HermitianOperator(u @ np.diag(vals) @ u.conj().T)
-    return a, b
 
 
 PM = SpectrumPartition.singletons([-1.0, 1.0])

@@ -1,6 +1,8 @@
 """Scenario files, report format, exit codes, and the command-line interface."""
 
 import copy
+import gc
+import importlib
 import json
 import math
 import os
@@ -63,6 +65,17 @@ def write_scenario(tmp_path, payload, name="case.scenario"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return p
+
+
+def run_cli(*args):
+    """`python -m ncprob.cli ARGS` in a fresh process, through `process_main`."""
+    src = str(Path(ncprob.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "ncprob.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 def strip_timing(text: str) -> str:
@@ -720,6 +733,17 @@ class TestCommandLine:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
+    def test_report_that_cannot_be_written_exits_2_without_a_traceback(self, capsys):
+        assert main(["run", "die", "--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: out: cannot write report to '/dev/full': ")
+        assert "Traceback" not in err
+        proc = run_cli("run", "die", "--out", "/dev/full")
+        assert proc.returncode == 2
+        assert proc.stderr == err
+        assert "Traceback" not in proc.stderr
+
     def test_scenarios_without_an_optimizer_never_import_scipy_optimize(self, tmp_path):
         # scipy.optimize takes 0.4-0.75 s to import in a fresh process; only certify needs it.
         code = (
@@ -741,13 +765,46 @@ class TestCommandLine:
         assert proc.returncode == 0, proc.stderr
 
     def test_installed_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ncprob.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("ncprob ")
+        # the console script and `python -m ncprob.cli` share the process entry
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        script = tomllib.loads(pyproject.read_text())["project"]["scripts"]["ncprob"]
+        assert script == "ncprob.cli:process_main"
+        module, _, attr = script.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+
+
+class TestProcessEntry:
+    """`process_main` switches the collector off and freezes the heap for
+    good, so it runs only in a child process here."""
+
+    def test_fresh_process_report_matches_in_process_main(self, tmp_path):
+        proc = run_cli("run", "fourier2", "--out", str(tmp_path / "a.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert main(["run", "fourier2", "--out", str(tmp_path / "b.json")]) == 0
+        a = (tmp_path / "a.json").read_text()
+        b = (tmp_path / "b.json").read_text()
+        assert a.split('"timing"')[0] == b.split('"timing"')[0]
+
+    def test_exit_codes_pass_through(self, tmp_path):
+        bad = write_scenario(tmp_path, {**MINIMAL, "surprise": 1}, name="bad.scenario")
+        proc = run_cli("run", str(bad))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("scenario error: surprise: ")
+        payload = copy.deepcopy(MINIMAL)
+        payload["tasks"] = [{"task": "joint_pvm", "args": {"dist_a": "mu", "dist_b": "nu"}}]
+        failing = write_scenario(tmp_path, payload, name="failing.scenario")
+        proc = run_cli("run", str(failing), "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads((tmp_path / "r.json").read_text())["results"][0]["status"] == "error"
+
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main(["run", "pauli", "--out", str(tmp_path / "r.json")]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 class TestJointPVMTask:
