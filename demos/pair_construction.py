@@ -31,7 +31,7 @@ def main():
           f"{chk.satisfied}")
 
     coin = Distribution.uniform([0.0, 1.0])
-    t_x, t_y = build_pair(ScenarioPair(coin, coin, u, target_bound=target))
+    t_x, t_y = build_pair(ScenarioPair(coin, coin, u))
     print("  T_X =", np.round(t_x.matrix.real, 3).tolist())
     print("  T_Y =", np.round(t_y.matrix.real, 3).tolist())
     print(f"  spectrum of T_Y      : {np.round(t_y.eigenvalues(), 12)}")
@@ -45,7 +45,7 @@ def main():
     print(f"  max |U| entry = {chk.max_overlap:.6f}  vs  exp(-D/2) = {chk.bound:.6f}  "
           f"-> satisfied: {chk.satisfied}")
     die = Distribution.uniform(np.arange(1.0, 7.0))
-    t_x, t_y = build_pair(ScenarioPair(die, die, u, target_bound=target))
+    t_x, t_y = build_pair(ScenarioPair(die, die, u))
     print(f"  entropy-sum bound    : {maassen_uffink_bound(t_x, t_y):.6f}  "
           f"(ln 6 = {target:.6f})")
     print(f"  commutator norm      : {commutator_norm(t_x, t_y):.6f}")

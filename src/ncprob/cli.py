@@ -15,23 +15,13 @@ import gc
 import sys
 
 from . import __version__
-from .scenario import (
-    RESTARTS_ENV_VAR,
-    describe_task,
-    list_tasks,
-    resolve_scenario_path,
-    run_scenario,
-)
+from .scenario import describe_task, list_tasks, resolve_scenario_path, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncprob",
         description="Scenario-driven harness for finite-dimensional algebraic probability.",
-        epilog=(
-            f"The environment variable {RESTARTS_ENV_VAR} overrides the optimizer "
-            "restart count for a run (takes precedence over the scenario file)."
-        ),
     )
     parser.add_argument("--version", action="version", version=f"ncprob {__version__}")
     sub = parser.add_subparsers(dest="command")

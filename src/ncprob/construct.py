@@ -30,10 +30,6 @@ UNITARY_TOL = 1e-10
 #: Column sums of a transition kernel must be 1 within this.
 KERNEL_TOL = 1e-12
 
-#: The state_map rule meaning "second law = Born image of the first
-#: through the unitary".
-BORN_RULE = "born_via_unitary"
-
 
 def _check_unitary(u) -> np.ndarray:
     m = matrix_of(u)
@@ -54,24 +50,12 @@ def born_map(u, mu: Distribution) -> Distribution:
 
 
 class ScenarioPair:
-    """Two classical laws, a basis-change unitary, and a target entropy
-    bound, packaged for operator construction.
+    """Two classical laws of equal size and a basis-change unitary,
+    packaged for operator construction."""
 
-    ``state_map`` is either :data:`BORN_RULE` or an explicit sequence of
-    ``(Distribution, Distribution)`` pairs describing how preparations of
-    the first variable redistribute the second.
-    """
+    __slots__ = ("dist_x", "dist_y", "unitary")
 
-    __slots__ = ("dist_x", "dist_y", "state_map", "unitary", "target_bound")
-
-    def __init__(
-        self,
-        dist_x: Distribution,
-        dist_y: Distribution,
-        unitary,
-        target_bound: float = 0.0,
-        state_map=BORN_RULE,
-    ):
+    def __init__(self, dist_x: Distribution, dist_y: Distribution, unitary):
         if len(dist_x) != len(dist_y):
             raise DimensionError(
                 f"laws have different cardinality: {len(dist_x)} vs {len(dist_y)}"
@@ -79,19 +63,9 @@ class ScenarioPair:
         u = _check_unitary(unitary)
         if u.shape[0] != len(dist_x):
             raise DimensionError(f"unitary dim {u.shape[0]} != law size {len(dist_x)}")
-        if not float(target_bound) >= 0.0:
-            raise ValueError(f"target_bound must be >= 0, got {target_bound!r}")
-        if state_map != BORN_RULE:
-            pairs = tuple(state_map)
-            for mx, my in pairs:
-                if not isinstance(mx, Distribution) or not isinstance(my, Distribution):
-                    raise TypeError("explicit state_map entries must be Distribution pairs")
-            state_map = pairs
         self.dist_x = dist_x
         self.dist_y = dist_y
         self.unitary = u
-        self.target_bound = float(target_bound)
-        self.state_map = state_map
 
     @property
     def dim(self) -> int:

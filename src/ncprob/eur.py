@@ -36,6 +36,8 @@ from .hilbert import (
     SpectralCell,
     _as_density,
     _clustered_eigensystem,
+    _eigenvalue_tol,
+    _with_fixed_phase,
     commutator_norm,
 )
 
@@ -43,9 +45,6 @@ from .hilbert import (
 CERTIFICATION_THRESHOLD = 1e-6
 #: Default seed for the entropy-sum minimiser.
 DEFAULT_OPTIMIZER_SEED = 1729
-#: Matching tolerance (relative to the largest |eigenvalue|) used when
-#: partition cell values are identified with computed eigenvalues.
-MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True, init=False)
@@ -124,18 +123,14 @@ def is_finer(first: SpectrumPartition, second: SpectrumPartition) -> bool:
 # matching partitions to spectra
 
 
-def _match_tolerance(values: Sequence[float]) -> float:
-    return MATCH_TOL * max(1.0, max(abs(v) for v in values))
-
-
 def _assign_to_partition(
     spectral_cells: Sequence[SpectralCell], part: SpectrumPartition
 ) -> list[int]:
     """For each spectral cell, the index of the unique partition cell
-    containing (within tolerance) all of its eigenvalues."""
+    containing all of its eigenvalues, matched within ``EIGENVALUE_TOL``."""
     values = [u for c in part.cells for u in c.values]
     eigs = [v for c in spectral_cells for v in c.values]
-    tol = _match_tolerance(values + eigs)
+    tol = _eigenvalue_tol(values + eigs)
     near = np.abs(np.array(values)[None, :] - np.array(eigs)[:, None]) <= tol  # eigenvalue x value
 
     absent = [u for u, hit in zip(values, near.any(axis=0)) if not hit]
@@ -169,7 +164,7 @@ def _partition_isometries(
     """Eigenvector matrix of ``op`` plus, per column, the index of the
     partition cell its eigenvalue belongs to (its spectral cell when
     ``part`` is None)."""
-    cells = _clustered_eigensystem(op, None)
+    cells = _clustered_eigensystem(op)
     labels = [c for c, _ in cells]
     assignment = range(len(cells)) if part is None else _assign_to_partition(labels, part)
     widths = [iso.shape[1] for _, iso in cells]
@@ -428,10 +423,7 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
     best_val, best_z, best_ok = ends[best_k]
 
     psi = best_z[:d] + 1j * best_z[d:]
-    psi = psi / np.linalg.norm(psi)
-    pivot = psi[int(np.argmax(np.abs(psi)))]
-    if pivot != 0:
-        psi = psi * (pivot.conjugate() / abs(pivot))
+    psi = _with_fixed_phase(psi / np.linalg.norm(psi))
     return MinEntropyResult(
         value=0.0 if best_val <= 1e-12 else best_val,
         state=PureState(psi),
@@ -491,11 +483,11 @@ def certify_noncommutativity(
     eps: SpectrumPartition,
     delta: SpectrumPartition,
     opt: OptimizerConfig | None = None,
-    threshold: float = CERTIFICATION_THRESHOLD,
     operator_names: tuple = ("A", "B"),
 ) -> EURCertificate:
     """Assemble an :class:`EURCertificate` for the pair at the given
-    partitions.
+    partitions.  The verdict is ``"noncommuting"`` when either analytic
+    bound exceeds ``CERTIFICATION_THRESHOLD``.
 
     Both analytic bounds are computed at the partition level, so the
     verdict inherits their partition dependence: a coarse partition can
@@ -506,7 +498,7 @@ def certify_noncommutativity(
     numeric = _min_entropy_sum(*pair, _checked(opt))
     cn = commutator_norm(a, b)
     best = max(mu, pv)
-    verdict = "noncommuting" if best > threshold else "inconclusive"
+    verdict = "noncommuting" if best > CERTIFICATION_THRESHOLD else "inconclusive"
     return EURCertificate(
         operator_names=tuple(operator_names),
         partitions=(eps, delta),
@@ -515,7 +507,7 @@ def certify_noncommutativity(
         numeric_infimum=numeric.value,
         optimizer_evidence=numeric,
         commutator_norm=cn,
-        threshold=threshold,
+        threshold=CERTIFICATION_THRESHOLD,
         verdict=verdict,
         infimum_consistent=numeric.value >= best - 1e-4,
     )

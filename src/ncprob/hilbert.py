@@ -45,8 +45,12 @@ PVM_TOL = 1e-10
 DENSITY_TOL = 1e-10
 #: Pure states: norm within this of 1.
 UNIT_TOL = 1e-12
-#: Default commutator-norm tolerance for routines requiring commuting input.
+#: Commutator-norm tolerance for routines requiring commuting input.
 COMM_TOL = 1e-9
+#: Two computed eigenvalues are one value when they differ by at most this
+#: times max(1, largest |eigenvalue|): the rule for spectral clustering and
+#: for matching partition values to a spectrum (see :func:`_eigenvalue_tol`).
+EIGENVALUE_TOL = 1e-8
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -305,17 +309,25 @@ class PVM:
 # deterministic eigen-machinery
 
 
+def _with_fixed_phase(vec: np.ndarray) -> np.ndarray:
+    """``vec`` with its largest-magnitude entry (lowest index on ties) made
+    real and positive; a zero vector is returned as it is."""
+    pivot = vec[int(np.argmax(np.abs(vec)))]
+    return vec * (pivot.conjugate() / abs(pivot)) if pivot != 0 else vec
+
+
 def _fixed_phase_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh with a deterministic phase: each eigenvector's largest-magnitude
-    entry (lowest index on ties) is made real and positive."""
+    """eigh with a deterministic phase: see :func:`_with_fixed_phase`."""
     w, v = np.linalg.eigh(matrix)
     for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if pivot != 0:
-            v[:, k] = col * (pivot.conjugate() / abs(pivot))
+        v[:, k] = _with_fixed_phase(v[:, k])
     return w, v
+
+
+def _eigenvalue_tol(values) -> float:
+    """The gap at or below which two of ``values`` are one eigenvalue:
+    ``EIGENVALUE_TOL`` relative to the largest |value|, absolute below 1."""
+    return EIGENVALUE_TOL * max(1.0, float(np.abs(values).max()))
 
 
 def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -329,20 +341,15 @@ def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.asarray(g) for g in groups]
 
 
-def _resolve_cluster_tol(eigenvalues: np.ndarray, degeneracy_tol: float | None) -> float:
-    if degeneracy_tol is None:
-        return 1e-8 * max(1.0, float(np.abs(eigenvalues).max()))
-    if degeneracy_tol < 0:
-        raise ValueError(f"degeneracy_tol must be >= 0, got {degeneracy_tol}")
-    return float(degeneracy_tol)
-
-
 def _clustered_eigensystem(
-    op: HermitianOperator, degeneracy_tol: float | None
+    op: HermitianOperator, exact: bool = False
 ) -> list[tuple[SpectralCell, np.ndarray]]:
-    """(cell, isometry) pairs: isometry columns span the cell's eigenspace."""
+    """(cell, isometry) pairs: isometry columns span the cell's eigenspace.
+
+    Eigenvalues within :func:`_eigenvalue_tol` of each other share a cell;
+    with ``exact`` only equal ones do."""
     w, v = _fixed_phase_eigh(op.matrix)
-    tol = _resolve_cluster_tol(w, degeneracy_tol)
+    tol = 0.0 if exact else _eigenvalue_tol(w)
     return [
         (SpectralCell(w[idx]), v[:, idx]) for idx in _cluster_indices(w, tol)
     ]
@@ -381,15 +388,13 @@ def density_from_distribution(dist: Distribution, pvm: PVM) -> DensityOperator:
     return DensityOperator(_spectral_sum([w for _, w in pvm.isometries], dist.probs))
 
 
-def spectral_pvm(op: HermitianOperator, degeneracy_tol: float | None = None) -> PVM:
+def spectral_pvm(op: HermitianOperator) -> PVM:
     """Spectral measure of ``op`` with eigenvalues clustered into cells.
 
-    Successive eigenvalues with gap <= ``degeneracy_tol`` share a cell.
-    The default tolerance is 1e-8 relative to the spectral radius
-    (absolute when the radius is below 1); pass 0.0 to split everything
-    except exact duplicates.
+    Successive eigenvalues with gap <= ``EIGENVALUE_TOL`` relative to the
+    spectral radius (absolute when the radius is below 1) share a cell.
     """
-    return PVM._from_isometries(_clustered_eigensystem(op, degeneracy_tol))
+    return PVM._from_isometries(_clustered_eigensystem(op))
 
 
 def apply_function(f, op: HermitianOperator) -> HermitianOperator:
@@ -399,7 +404,7 @@ def apply_function(f, op: HermitianOperator) -> HermitianOperator:
     eigenvalues to values; mapping keys are matched within 1e-6.  Exact
     duplicate eigenvalues share a cell; distinct ones are kept apart.
     """
-    cells = _clustered_eigensystem(op, 0.0)
+    cells = _clustered_eigensystem(op, exact=True)
     ys = []
     for cell, _ in cells:
         x = cell.mean
@@ -476,10 +481,7 @@ def trace_expectation(rho: DensityOperator, op: HermitianOperator) -> float:
 
 
 def _joint_blocks(
-    a: HermitianOperator,
-    b: HermitianOperator,
-    comm_tol: float,
-    degeneracy_tol: float | None = None,
+    a: HermitianOperator, b: HermitianOperator
 ) -> list[tuple[SpectralCell, SpectralCell, np.ndarray]]:
     """Simultaneous block diagonalisation of a commuting pair.
 
@@ -491,16 +493,16 @@ def _joint_blocks(
     if a.dim != b.dim:
         raise DimensionError(f"operator dims differ: {a.dim} vs {b.dim}")
     c = commutator_norm(a, b)
-    if c > comm_tol:
+    if c > COMM_TOL:
         raise NonCommutingError(
-            f"operators do not commute: ||[A,B]|| = {c:.3e} > {comm_tol:.1e}"
+            f"operators do not commute: ||[A,B]|| = {c:.3e} > {COMM_TOL:.1e}"
         )
-    cells_b = _clustered_eigensystem(b, degeneracy_tol)
+    cells_b = _clustered_eigensystem(b)
     scale_b = max(1.0, max(abs(v) for cell, _ in cells_b for v in cell.values))
-    assign_tol = max(1e-6 * scale_b, 10.0 * comm_tol)
+    assign_tol = max(1e-6 * scale_b, 10.0 * COMM_TOL)
 
     out = []
-    for cell_a, iso_a in _clustered_eigensystem(a, degeneracy_tol):
+    for cell_a, iso_a in _clustered_eigensystem(a):
         restricted = iso_a.conj().T @ b.matrix @ iso_a
         w, v = _fixed_phase_eigh((restricted + restricted.conj().T) / 2)
         # bucket the restricted eigenvalues by the nearest cell of b
@@ -520,11 +522,7 @@ def _joint_blocks(
     return out
 
 
-def joint_pvm(
-    a: HermitianOperator,
-    b: HermitianOperator,
-    comm_tol: float = COMM_TOL,
-) -> PVM:
+def joint_pvm(a: HermitianOperator, b: HermitianOperator) -> PVM:
     """Joint spectral measure of a commuting pair.
 
     Cells are labelled ``(cell_of_a, cell_of_b)`` and only cells of
@@ -532,23 +530,21 @@ def joint_pvm(
     of the marginal projectors, and summing over the second index
     recovers the first operator's spectral projector exactly.
 
-    Raises :class:`NonCommutingError` when ||[A,B]|| > ``comm_tol``.
+    Raises :class:`NonCommutingError` when ||[A,B]|| > ``COMM_TOL``.
     """
-    blocks = _joint_blocks(a, b, comm_tol)
+    blocks = _joint_blocks(a, b)
     return PVM._from_isometries(((ca, cb), iso) for ca, cb, iso in blocks)
 
 
 def common_refiner(
-    a: HermitianOperator,
-    b: HermitianOperator,
-    comm_tol: float = COMM_TOL,
+    a: HermitianOperator, b: HermitianOperator
 ) -> tuple[HermitianOperator, dict, dict]:
     """A single operator C with integer spectrum plus value tables f1, f2
     such that applying f1 (resp. f2) to C reproduces ``a`` (resp. ``b``).
 
     The joint cells of the pair are enumerated 0..m-1; C = sum_k k*Q_k.
     """
-    blocks = _joint_blocks(a, b, comm_tol)
+    blocks = _joint_blocks(a, b)
     c = _spectral_sum([iso for _, _, iso in blocks], range(len(blocks)))
     f1 = {k: cell_a.mean for k, (cell_a, _, _) in enumerate(blocks)}
     f2 = {k: cell_b.mean for k, (_, cell_b, _) in enumerate(blocks)}
@@ -721,17 +717,13 @@ def dispersion(omega, op: HermitianOperator) -> float:
     return float(np.trace(rho.matrix @ shifted @ shifted).real)
 
 
-def dispersion_free_state(
-    a: HermitianOperator,
-    b: HermitianOperator,
-    comm_tol: float = COMM_TOL,
-) -> PureState:
+def dispersion_free_state(a: HermitianOperator, b: HermitianOperator) -> PureState:
     """A joint eigenvector of a commuting pair: dispersion-free for both.
 
     Deterministic: the first basis vector of the first joint block (cells
     ordered ascending in both eigenvalues).  Non-commuting input raises
     :class:`NonCommutingError`.
     """
-    blocks = _joint_blocks(a, b, comm_tol)
+    blocks = _joint_blocks(a, b)
     iso = blocks[0][2]
     return PureState(iso[:, 0])

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -46,10 +45,6 @@ from .errors import ScenarioError
 from .eur import OptimizerConfig, SpectrumPartition
 from .hilbert import DensityOperator, PureState
 
-#: Environment variable overriding the optimizer restart count for a CLI
-#: run.  Takes precedence over the scenario file's value.
-RESTARTS_ENV_VAR = "NCPROB_RESTARTS"
-
 TOOL_NAME = "ncprob"
 
 #: Largest accepted scenario dimension: a d x d complex unitary at this
@@ -61,9 +56,8 @@ MAX_TRIALS = 10_000_000
 #: algebra's images alone hold d^6 complex numbers (one BLAS thread: about
 #: 3.3 s and 300 MB at d = 16, 16 s and 1 GB at d = 20; diagonal, d = 64: 2 s).
 MAX_GNS_DIMENSION = {"full": 16, "diagonal": 64}
-#: Largest accepted optimizer restart count, from the file or the
-#: environment: each restart is a full L-BFGS-B run, so an unchecked
-#: count can keep a run busy for hours.
+#: Largest accepted optimizer restart count: each restart is a full
+#: L-BFGS-B run, so an unchecked count can keep a run busy for hours.
 MAX_RESTARTS = 1024
 
 #: What the model constructors raise on a malformed value (OverflowError:
@@ -272,20 +266,11 @@ class Scenario:
     tasks: list
 
     def effective_optimizer(self, seed_override: int | None = None) -> OptimizerConfig:
-        """The optimizer config after CLI/environment overrides."""
-        cfg = self.optimizer
-        env = os.environ.get(RESTARTS_ENV_VAR)
-        if env is not None:
-            try:
-                restarts = int(env)
-            except ValueError:
-                raise ScenarioError(f"{env!r} is not an integer", field=RESTARTS_ENV_VAR) from None
-            _OPTIMIZER_FIELDS["restarts"].kind.check(restarts, RESTARTS_ENV_VAR)
-            cfg = replace(cfg, restarts=restarts)
-        if seed_override is not None:
-            _OPTIMIZER_FIELDS["seed"].kind.check(seed_override, "--seed")
-            cfg = replace(cfg, seed=seed_override)
-        return cfg
+        """The scenario's optimizer config after the ``--seed`` override."""
+        if seed_override is None:
+            return self.optimizer
+        _OPTIMIZER_FIELDS["seed"].kind.check(seed_override, "--seed")
+        return replace(self.optimizer, seed=seed_override)
 
 
 def _parse_outcome(key: str, labels: dict):
@@ -974,7 +959,7 @@ def run_scenario(path, out=None, seed: int | None = None) -> int:
     """Load, validate and execute a scenario file; write the report.
 
     Returns the process exit code: 0 on success, 2 on validation errors
-    (nothing is written) or when writing the report to ``out`` fails, 3 when
+    (nothing is written) or when writing the report fails, 3 when
     some task failed at runtime (the report, including error records, is
     still written).  The report goes to ``out`` when given, else to stdout;
     an ``out`` that is a directory, or lies in a directory that does not
@@ -987,20 +972,21 @@ def run_scenario(path, out=None, seed: int | None = None) -> int:
             _check_out(Path(out))
         scenario = load_scenario(path)
         validate_scenario(scenario)
-        report, ok = execute_scenario(scenario, seed_override=seed)  # raises only for the overrides
+        report, ok = execute_scenario(scenario, seed_override=seed)  # raises only for the --seed override
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     text = dumps_report(report)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    where = "stdout: cannot write report" if out is None else f"out: cannot write report to {str(out)!r}"
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a report short enough to stay buffered would fail only at exit
+        else:
             Path(out).write_text(text)
-        except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"scenario error: out: cannot write report to {str(out)!r}: {reason}", file=sys.stderr)
-            return 2
+    except OSError as exc:
+        print(f"scenario error: {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 3
 
 

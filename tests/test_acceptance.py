@@ -247,9 +247,7 @@ def test_criterion_06_overlap_chain():
             assert abs(chk.max_overlap - math.exp(-target / 2.0)) <= 1e-12
             sup = np.arange(1.0, d + 1.0)
             uniform = Distribution.uniform(sup)
-            t_x, t_y = build_pair(
-                ScenarioPair(uniform, uniform, fourier_unitary(d), target_bound=target)
-            )
+            t_x, t_y = build_pair(ScenarioPair(uniform, uniform, fourier_unitary(d)))
             assert maassen_uffink_bound(t_x, t_y) >= target - 1e-9
 
 

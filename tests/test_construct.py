@@ -32,7 +32,7 @@ UNIT = Distribution.uniform([0.0, 1.0])
 
 
 def hadamard_pair():
-    return ScenarioPair(UNIT, UNIT, hadamard_unitary(), target_bound=math.log(2.0))
+    return ScenarioPair(UNIT, UNIT, hadamard_unitary())
 
 
 class TestScenarioPair:
@@ -46,10 +46,6 @@ class TestScenarioPair:
             ScenarioPair(UNIT, tri, hadamard_unitary())
         with pytest.raises(DimensionError):
             ScenarioPair(tri, tri, hadamard_unitary())
-
-    def test_negative_target_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioPair(UNIT, UNIT, hadamard_unitary(), target_bound=-0.5)
 
 
 class TestBuildPair:

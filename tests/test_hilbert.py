@@ -209,16 +209,6 @@ class TestSpectralPVM:
         ranks = [int(round(np.trace(p).real)) for _, p in cells]
         assert ranks == [2, 1]
 
-    def test_zero_tolerance_keeps_distinct_floats_apart(self):
-        op = HermitianOperator(np.diag([1.0, 1.0 + 1e-12, 5.0]))
-        cells = spectral_pvm(op, degeneracy_tol=0.0).cells
-        assert len(cells) == 3
-
-    def test_negative_tolerance_rejected(self):
-        op = HermitianOperator(np.diag([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            spectral_pvm(op, degeneracy_tol=-1.0)
-
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(55)
         op = random_hermitian(rng, 5)
@@ -245,7 +235,7 @@ class TestSpectralPVM:
         u = random_unitary(rng, dim)
         op = HermitianOperator(u @ np.diag(vals) @ u.conj().T)
         pvm = spectral_pvm(op)
-        system = _clustered_eigensystem(op, None)
+        system = _clustered_eigensystem(op)
         assert pvm.labels == tuple(cell for cell, _ in system)
         for proj, (_, iso) in zip(pvm.projectors, system, strict=True):
             assert np.array_equal(proj, iso @ iso.conj().T)
@@ -287,6 +277,13 @@ class TestApplyFunction:
             fg = apply_function(lambda x: f(x) * g(x), op)
             prod = apply_function(f, op).matrix @ apply_function(g, op).matrix
             assert operator_norm(fg.matrix - prod) <= 1e-9
+
+    def test_exact_clustering_keeps_distinct_floats_apart(self):
+        # spectral_pvm puts 1 and 1 + 1e-12 in one cell; a step between them
+        # must still tell them apart, as they are different eigenvalues
+        op = HermitianOperator(np.diag([1.0, 1.0 + 1e-12, 5.0]))
+        step = apply_function(lambda x: 0.0 if x <= 1.0 else 1.0, op)
+        assert np.allclose(step.matrix, np.diag([0.0, 1.0, 1.0]), rtol=0.0, atol=1e-12)
 
     def test_result_commutes_with_argument(self):
         rng = np.random.default_rng(10)

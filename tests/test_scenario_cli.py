@@ -1,5 +1,6 @@
 """Scenario files, report format, exit codes, and the command-line interface."""
 
+import contextlib
 import copy
 import gc
 import importlib
@@ -27,7 +28,6 @@ from ncprob.errors import ScenarioError
 from ncprob.scenario import (
     MAX_RESTARTS,
     MAX_TRIALS,
-    RESTARTS_ENV_VAR,
     describe_task,
     dumps_report,
     execute_scenario,
@@ -67,14 +67,16 @@ def write_scenario(tmp_path, payload, name="case.scenario"):
     return p
 
 
-def run_cli(*args):
-    """`python -m ncprob.cli ARGS` in a fresh process, through `process_main`."""
+def run_cli(*args, stdout=subprocess.PIPE, env=None):
+    """`python -m ncprob.cli ARGS` in a fresh process, through `process_main`,
+    with ``env`` added to this process's environment."""
     src = str(Path(ncprob.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "ncprob.cli", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, **(env or {}), "PYTHONPATH": src},
     )
 
 
@@ -155,6 +157,18 @@ class TestShippedScenarios:
         assert strip_timing(a) == strip_timing(b)
         # the raw bytes agree everywhere outside the isolated timing section
         assert a.split('"timing"')[0] == b.split('"timing"')[0]
+
+    def test_report_depends_only_on_the_scenario_file_and_seed(self, monkeypatch):
+        # the environment variable that overrode the restart count until it
+        # was removed; a report must not move with it
+        stale = f"{scenario_module.TOOL_NAME.upper()}_RESTARTS"
+        monkeypatch.delenv(stale, raising=False)
+        with_var = run_cli("run", "fourier2", env={stale: "3"})
+        without = run_cli("run", "fourier2")
+        assert with_var.returncode == without.returncode == 0, with_var.stderr + without.stderr
+        assert with_var.stdout.split('"timing"')[0] == without.stdout.split('"timing"')[0]
+        cert = next(item["result"] for item in json.loads(with_var.stdout)["results"] if item["task"] == "certify")
+        assert cert["optimizer_evidence"]["restarts"] == 8  # fourier2.scenario's own count
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
@@ -358,21 +372,6 @@ class TestReportFormat:
         cert = report["results"][1]["result"]
         assert cert["optimizer_evidence"]["seed"] == 4242
 
-    def test_restart_override_environment_variable(self, tmp_path, monkeypatch):
-        path = write_scenario(tmp_path, MINIMAL)
-        monkeypatch.setenv(RESTARTS_ENV_VAR, "3")
-        run_scenario(path, out=tmp_path / "r.json")
-        report = json.loads((tmp_path / "r.json").read_text())
-        cert = report["results"][1]["result"]
-        assert cert["optimizer_evidence"]["restarts"] == 3
-
-    def test_invalid_restart_override_is_a_validation_error(self, tmp_path, monkeypatch, capsys):
-        path = write_scenario(tmp_path, MINIMAL)
-        monkeypatch.setenv(RESTARTS_ENV_VAR, "many")
-        assert run_scenario(path, out=tmp_path / "r.json") == 2
-        assert not (tmp_path / "r.json").exists()
-        assert RESTARTS_ENV_VAR in capsys.readouterr().err
-
 
 class TestValidationErrors:
     def test_missing_file(self, capsys):
@@ -502,65 +501,62 @@ _OVERLAP = ("tasks", 1, "args")  # fourier2.scenario
 _FACE = ("variables", "face_value", "values")  # die.scenario
 _BORN = ("kernel", "from_unitary")  # interference.scenario
 
-#: (scenario, path of the edited key, new value, extra CLI arguments,
-#: environment, the field the error must name)
+#: (scenario, path of the edited key, new value, extra CLI arguments, the
+#: field the error must name)
 BOUNDARY_CASES = [
-    pytest.param("die", _LLN + ("trials",), True, [], {}, "tasks[2].args.trials", id="lln-trials-true"),
-    pytest.param("die", _LLN + ("seed",), "abc", [], {}, "tasks[2].args.seed", id="lln-seed-string"),
-    pytest.param("die", _LLN + ("seed",), -1, [], {}, "tasks[2].args.seed", id="lln-seed-negative"),
-    pytest.param("die", _LLN + ("seed",), [], [], {}, "tasks[2].args.seed", id="lln-seed-list"),
-    pytest.param("die", _LLN + ("seed",), 1.5, [], {}, "tasks[2].args.seed", id="lln-seed-float"),
-    pytest.param("die", _LLN + ("seed",), True, [], {}, "tasks[2].args.seed", id="lln-seed-true"),
-    pytest.param("fourier2", _OVERLAP + ("target_bound",), math.inf, [], {}, "tasks[1].args.target_bound", id="target-bound-inf"),
-    pytest.param("fourier2", _OVERLAP + ("target_bound",), True, [], {}, "tasks[1].args.target_bound", id="target-bound-true"),
-    pytest.param("fourier2", ("optimizer", "restarts"), True, [], {}, "optimizer.restarts", id="restarts-true"),
-    pytest.param("fourier2", ("optimizer", "restarts"), 1.9, [], {}, "optimizer.restarts", id="restarts-float"),
-    pytest.param("fourier2", ("optimizer", "restarts"), MAX_RESTARTS + 1, [], {}, "optimizer.restarts", id="restarts-over-limit"),
-    pytest.param("fourier2", ("optimizer", "seed"), "12", [], {}, "optimizer.seed", id="optimizer-seed-string"),
-    pytest.param("fourier2", ("optimizer", "seed"), -5, [], {}, "optimizer.seed", id="optimizer-seed-negative"),
-    pytest.param("fourier2", ("optimizer", "tol"), -1.0, [], {}, "optimizer.tol", id="tol-negative"),
-    pytest.param("fourier2", ("optimizer", "tol"), math.nan, [], {}, "optimizer.tol", id="tol-nan"),
-    pytest.param("fourier2", ("optimizer", "tol"), math.inf, [], {}, "optimizer.tol", id="tol-inf"),
-    pytest.param("fourier2", ("optimizer", "restartz"), 8, [], {}, "optimizer.restartz", id="optimizer-unknown-key"),
-    pytest.param("fourier2", (), None, ["--seed", "-1"], {}, "--seed", id="cli-seed-negative"),
-    pytest.param(
-        "fourier2", (), None, [], {RESTARTS_ENV_VAR: str(MAX_RESTARTS + 1)}, RESTARTS_ENV_VAR, id="env-restarts-over-limit"
-    ),
-    pytest.param("die", _FACE + ("6",), math.inf, [], {}, "variables.face_value.values", id="variable-value-inf"),
-    pytest.param("die", _FACE + ("6",), math.nan, [], {}, "variables.face_value.values", id="variable-value-nan"),
+    pytest.param("die", _LLN + ("trials",), True, [], "tasks[2].args.trials", id="lln-trials-true"),
+    pytest.param("die", _LLN + ("seed",), "abc", [], "tasks[2].args.seed", id="lln-seed-string"),
+    pytest.param("die", _LLN + ("seed",), -1, [], "tasks[2].args.seed", id="lln-seed-negative"),
+    pytest.param("die", _LLN + ("seed",), [], [], "tasks[2].args.seed", id="lln-seed-list"),
+    pytest.param("die", _LLN + ("seed",), 1.5, [], "tasks[2].args.seed", id="lln-seed-float"),
+    pytest.param("die", _LLN + ("seed",), True, [], "tasks[2].args.seed", id="lln-seed-true"),
+    pytest.param("fourier2", _OVERLAP + ("target_bound",), math.inf, [], "tasks[1].args.target_bound", id="target-bound-inf"),
+    pytest.param("fourier2", _OVERLAP + ("target_bound",), True, [], "tasks[1].args.target_bound", id="target-bound-true"),
+    pytest.param("fourier2", ("optimizer", "restarts"), True, [], "optimizer.restarts", id="restarts-true"),
+    pytest.param("fourier2", ("optimizer", "restarts"), 1.9, [], "optimizer.restarts", id="restarts-float"),
+    pytest.param("fourier2", ("optimizer", "restarts"), MAX_RESTARTS + 1, [], "optimizer.restarts", id="restarts-over-limit"),
+    pytest.param("fourier2", ("optimizer", "seed"), "12", [], "optimizer.seed", id="optimizer-seed-string"),
+    pytest.param("fourier2", ("optimizer", "seed"), -5, [], "optimizer.seed", id="optimizer-seed-negative"),
+    pytest.param("fourier2", ("optimizer", "tol"), -1.0, [], "optimizer.tol", id="tol-negative"),
+    pytest.param("fourier2", ("optimizer", "tol"), math.nan, [], "optimizer.tol", id="tol-nan"),
+    pytest.param("fourier2", ("optimizer", "tol"), math.inf, [], "optimizer.tol", id="tol-inf"),
+    pytest.param("fourier2", ("optimizer", "restartz"), 8, [], "optimizer.restartz", id="optimizer-unknown-key"),
+    pytest.param("fourier2", (), None, ["--seed", "-1"], "--seed", id="cli-seed-negative"),
+    pytest.param("die", _FACE + ("6",), math.inf, [], "variables.face_value.values", id="variable-value-inf"),
+    pytest.param("die", _FACE + ("6",), math.nan, [], "variables.face_value.values", id="variable-value-nan"),
     # integer literals beyond the float range
-    pytest.param("fourier2", _OVERLAP + ("target_bound",), 10**400, [], {}, "tasks[1].args.target_bound", id="target-bound-huge"),
-    pytest.param("die", _FACE + ("6",), 10**400, [], {}, "variables.face_value.values", id="variable-value-huge"),
-    pytest.param("fourier2", ("distributions", "mu", "support"), [1, 10**400], [], {}, "distributions.mu", id="support-huge"),
+    pytest.param("fourier2", _OVERLAP + ("target_bound",), 10**400, [], "tasks[1].args.target_bound", id="target-bound-huge"),
+    pytest.param("die", _FACE + ("6",), 10**400, [], "variables.face_value.values", id="variable-value-huge"),
+    pytest.param("fourier2", ("distributions", "mu", "support"), [1, 10**400], [], "distributions.mu", id="support-huge"),
     pytest.param(
-        "interference", ("kernel",), {"alpha": [[10**400, 0], [0, 1]], "alpha_tilde": [[1, 0], [0, 1]]}, [], {}, "kernel",
+        "interference", ("kernel",), {"alpha": [[10**400, 0], [0, 1]], "alpha_tilde": [[1, 0], [0, 1]]}, [], "kernel",
         id="kernel-huge",
     ),
     # misspelled fields
-    pytest.param("fourier2", ("distributions", "mu", "probz"), [0.5, 0.5], [], {}, "distributions.mu.probz", id="probz"),
-    pytest.param("die", ("spaces", "six_faces", "wieghts"), [1.0], [], {}, "spaces.six_faces.wieghts", id="wieghts"),
-    pytest.param("fourier2", ("unitary", "knd"), "fourier", [], {}, "unitary.knd", id="unitary-knd"),
-    pytest.param("interference", ("kernel", "alhpa"), [[1, 0], [0, 1]], [], {}, "kernel.alhpa", id="kernel-alhpa"),
+    pytest.param("fourier2", ("distributions", "mu", "probz"), [0.5, 0.5], [], "distributions.mu.probz", id="probz"),
+    pytest.param("die", ("spaces", "six_faces", "wieghts"), [1.0], [], "spaces.six_faces.wieghts", id="wieghts"),
+    pytest.param("fourier2", ("unitary", "knd"), "fourier", [], "unitary.knd", id="unitary-knd"),
+    pytest.param("interference", ("kernel", "alhpa"), [[1, 0], [0, 1]], [], "kernel.alhpa", id="kernel-alhpa"),
     # the kernel and unitary either/or rules
-    pytest.param("interference", _BORN, "no", [], {}, "kernel.from_unitary", id="from-unitary-string"),
-    pytest.param("interference", _BORN, 0, [], {}, "kernel.from_unitary", id="from-unitary-0"),
-    pytest.param("interference", _BORN, 1, [], {}, "kernel.from_unitary", id="from-unitary-1"),
-    pytest.param("interference", ("kernel", "alpha"), [[1, 0], [0, 1]], [], {}, "kernel", id="from-unitary-and-alpha"),
-    pytest.param("fourier2", ("unitary", "entries"), [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [], {}, "unitary.entries", id="entries-with-fourier"),
+    pytest.param("interference", _BORN, "no", [], "kernel.from_unitary", id="from-unitary-string"),
+    pytest.param("interference", _BORN, 0, [], "kernel.from_unitary", id="from-unitary-0"),
+    pytest.param("interference", _BORN, 1, [], "kernel.from_unitary", id="from-unitary-1"),
+    pytest.param("interference", ("kernel", "alpha"), [[1, 0], [0, 1]], [], "kernel", id="from-unitary-and-alpha"),
+    pytest.param("fourier2", ("unitary", "entries"), [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [], "unitary.entries", id="entries-with-fourier"),
     # numbers coerced from strings and booleans
-    pytest.param("fourier2", ("distributions", "mu", "support"), ["1", 2], [], {}, "distributions.mu", id="support-string"),
-    pytest.param("fourier2", ("distributions", "mu", "probs"), ["0.5", 0.5], [], {}, "distributions.mu", id="probs-string"),
-    pytest.param("die", ("spaces", "six_faces", "weights"), ["0.16666666666666666"] + [1 / 6] * 5, [], {}, "spaces.six_faces", id="weight-string"),
-    pytest.param("die", _FACE + ("6",), True, [], {}, "variables.face_value.values", id="variable-value-true"),
-    pytest.param("die", _FACE + ("6",), "6", [], {}, "variables.face_value.values", id="variable-value-string"),
-    pytest.param("fourier2", ("partitions", "fine"), [["1"], [2]], [], {}, "partitions.fine", id="partition-string"),
-    pytest.param("fourier2", ("partitions", "fine"), [[True], [2]], [], {}, "partitions.fine", id="partition-true"),
+    pytest.param("fourier2", ("distributions", "mu", "support"), ["1", 2], [], "distributions.mu", id="support-string"),
+    pytest.param("fourier2", ("distributions", "mu", "probs"), ["0.5", 0.5], [], "distributions.mu", id="probs-string"),
+    pytest.param("die", ("spaces", "six_faces", "weights"), ["0.16666666666666666"] + [1 / 6] * 5, [], "spaces.six_faces", id="weight-string"),
+    pytest.param("die", _FACE + ("6",), True, [], "variables.face_value.values", id="variable-value-true"),
+    pytest.param("die", _FACE + ("6",), "6", [], "variables.face_value.values", id="variable-value-string"),
+    pytest.param("fourier2", ("partitions", "fine"), [["1"], [2]], [], "partitions.fine", id="partition-string"),
+    pytest.param("fourier2", ("partitions", "fine"), [[True], [2]], [], "partitions.fine", id="partition-true"),
     pytest.param(
-        "interference", ("kernel",), {"alpha": [["0.5", 0.5], [0.5, 0.5]], "alpha_tilde": [[0.5, 0.5], [0.5, 0.5]]}, [], {},
+        "interference", ("kernel",), {"alpha": [["0.5", 0.5], [0.5, 0.5]], "alpha_tilde": [[0.5, 0.5], [0.5, 0.5]]}, [],
         "kernel", id="kernel-alpha-string",
     ),
     # a value for an outcome outside the space
-    pytest.param("die", _FACE + ("9",), 9, [], {}, "variables.face_value.values", id="variable-value-stray-outcome"),
+    pytest.param("die", _FACE + ("9",), 9, [], "variables.face_value.values", id="variable-value-stray-outcome"),
 ]
 
 
@@ -575,17 +571,15 @@ def _unknown_field_cases():
         objects += [(("tasks", i), f"tasks[{i}]") for i in range(len(doc["tasks"]))]
         for keys, where in objects:
             field = f"{where}.unknown_field" if where else "unknown_field"
-            yield pytest.param(name, keys + ("unknown_field",), 1, [], {}, field, id=f"{name}-{field}")
+            yield pytest.param(name, keys + ("unknown_field",), 1, [], field, id=f"{name}-{field}")
 
 
 BOUNDARY_CASES += list(_unknown_field_cases())
 
 
 class TestInputBoundary:
-    @pytest.mark.parametrize("name, path, value, argv, env, field", BOUNDARY_CASES)
-    def test_malformed_input_exits_2_naming_the_field(
-        self, tmp_path, capsys, monkeypatch, name, path, value, argv, env, field
-    ):
+    @pytest.mark.parametrize("name, path, value, argv, field", BOUNDARY_CASES)
+    def test_malformed_input_exits_2_naming_the_field(self, tmp_path, capsys, name, path, value, argv, field):
         payload = json.loads(SHIPPED[name].read_text())
         if path:
             *parents, key = path
@@ -593,8 +587,6 @@ class TestInputBoundary:
             for step in parents:
                 target = target[step]
             target[key] = value
-        for var, text in env.items():
-            monkeypatch.setenv(var, text)
         out = tmp_path / "r.json"
         code = main(["run", str(write_scenario(tmp_path, payload)), "--out", str(out), *argv])
         err = capsys.readouterr().err
@@ -608,7 +600,7 @@ class TestInputBoundary:
 #: numbers, and the first values past the trial and dimension limits.  Where
 #: a value is valid it is cheap (a seed, an iteration cap, a bound), so no
 #: mutated scenario runs for long.
-FUZZ_POOL = [True, None, -1, 0, 1, 2, 1.5, math.nan, math.inf, -math.inf, "x", [], {}, MAX_TRIALS + 1, 1025]
+FUZZ_POOL = [True, None, -1, 0, 1, 2, 1.5, math.nan, math.inf, -math.inf, "x", [], MAX_TRIALS + 1, 1025]
 SHIPPED_DOCS = {name: json.loads(path.read_text()) for name, path in SHIPPED.items()}
 
 
@@ -743,6 +735,23 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert proc.stderr == err
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
+    def test_report_that_cannot_be_written_to_stdout_exits_2(self, capsys, monkeypatch):
+        # the die report is short enough to sit in the buffer, so only the flush fails
+        full = open("/dev/full", "w")
+        monkeypatch.setattr(sys, "stdout", full)
+        assert main(["run", "die"]) == 2
+        with contextlib.suppress(OSError):  # the report is still in the file's buffer
+            full.close()
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: stdout: cannot write report: ")
+        assert "Traceback" not in err
+        with open("/dev/full", "w") as full:
+            proc = run_cli("run", "die", stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == err
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     def test_scenarios_without_an_optimizer_never_import_scipy_optimize(self, tmp_path):
         # scipy.optimize takes 0.4-0.75 s to import in a fresh process; only certify needs it.
