@@ -115,6 +115,16 @@ class TestPartitionProbabilities:
         with pytest.raises(PartitionError):
             partition_probabilities(rho, pvm, SpectrumPartition.singletons([1.0, 7.0]))
 
+    def test_partition_values_match_at_the_clustering_tolerance(self):
+        # the spectrum's clustering rule: 1e-8 x max |value|, here 2e-2
+        vals = [1e6, 2e6]
+        pvm = spectral_pvm(HermitianOperator(np.diag(vals)))
+        rho = density_from_distribution(Distribution.uniform(vals), pvm)
+        mu = partition_probabilities(rho, pvm, SpectrumPartition.singletons([1e6 + 1e-2, 2e6]))
+        assert mu.probs == pytest.approx((0.5, 0.5), abs=1e-12)
+        with pytest.raises(PartitionError):
+            partition_probabilities(rho, pvm, SpectrumPartition.singletons([1e6 + 5e-2, 2e6]))
+
     def test_partition_must_cover_spectrum(self):
         op = HermitianOperator(np.diag([1.0, 2.0]))
         pvm = spectral_pvm(op)
@@ -404,6 +414,12 @@ class TestMinEntropySum:
         res = min_entropy_sum(a, b, PM, PM, OptimizerConfig(restarts=4))
         recomputed = epsilon_entropy(res.state, a, PM) + epsilon_entropy(res.state, b, PM)
         assert res.value == pytest.approx(recomputed, abs=1e-12)
+
+    def test_best_state_has_its_largest_entry_real_and_positive(self):
+        a, b = pauli_pair()
+        psi = min_entropy_sum(a, b, PM, PM, OptimizerConfig(restarts=4)).state.vector
+        pivot = psi[int(np.argmax(np.abs(psi)))]
+        assert pivot.real > 0.0 and abs(pivot.imag) <= 1e-15
 
     def test_deterministic_for_fixed_config(self):
         a, b = pauli_pair()

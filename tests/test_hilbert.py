@@ -49,6 +49,7 @@ from ncprob.hilbert import (
     PAULI_Y,
     PAULI_Z,
     _clustered_eigensystem,
+    _with_fixed_phase,
     fourier_unitary,
     hadamard_unitary,
     operator_norm,
@@ -208,6 +209,26 @@ class TestSpectralPVM:
         assert len(cells) == 2
         ranks = [int(round(np.trace(p).real)) for _, p in cells]
         assert ranks == [2, 1]
+
+    def test_clustering_tolerance_is_absolute_below_one_and_relative_above(self):
+        # 1e-8 absolute while every |eigenvalue| <= 1, 1e-8 x max |eigenvalue| beyond
+        def n_cells(values):
+            return len(spectral_pvm(HermitianOperator(np.diag(values))).cells)
+
+        assert n_cells([0.5, 0.5 + 5e-9]) == 1
+        assert n_cells([0.5, 0.5 + 5e-8]) == 2
+        assert n_cells([0.0, 1e6, 1e6 + 5e-3]) == 2
+        assert n_cells([0.0, 1e6, 1e6 + 5e-2]) == 3
+
+    def test_eigenvector_phase_pins_the_largest_entry(self):
+        assert np.array_equal(_with_fixed_phase(np.array([1j, -1.0, 0.5])), [1.0, 1j, -0.5j])  # lowest index on ties
+        assert np.array_equal(_with_fixed_phase(np.zeros(3, dtype=complex)), np.zeros(3))
+        rng = np.random.default_rng(58)
+        op = random_hermitian(rng, 6)
+        for _, iso in _clustered_eigensystem(op):
+            for col in iso.T:
+                pivot = col[int(np.argmax(np.abs(col)))]
+                assert pivot.real > 0.0 and abs(pivot.imag) <= 1e-15
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(55)

@@ -600,7 +600,7 @@ class TestInputBoundary:
 #: numbers, and the first values past the trial and dimension limits.  Where
 #: a value is valid it is cheap (a seed, an iteration cap, a bound), so no
 #: mutated scenario runs for long.
-FUZZ_POOL = [True, None, -1, 0, 1, 2, 1.5, math.nan, math.inf, -math.inf, "x", [], MAX_TRIALS + 1, 1025]
+FUZZ_POOL = [True, None, -1, 0, 1, 2, 1.5, math.nan, math.inf, -math.inf, "x", [], {}, MAX_TRIALS + 1, 1025]
 SHIPPED_DOCS = {name: json.loads(path.read_text()) for name, path in SHIPPED.items()}
 
 
