@@ -35,6 +35,7 @@ from .hilbert import (
     PureState,
     SpectralCell,
     _as_density,
+    _cell_weights,
     _clustered_eigensystem,
     _eigenvalue_tol,
     _with_fixed_phase,
@@ -125,7 +126,7 @@ def is_finer(first: SpectrumPartition, second: SpectrumPartition) -> bool:
 
 def _assign_to_partition(
     spectral_cells: Sequence[SpectralCell], part: SpectrumPartition
-) -> list[int]:
+) -> np.ndarray:
     """For each spectral cell, the index of the unique partition cell
     containing all of its eigenvalues, matched within ``EIGENVALUE_TOL``."""
     values = [u for c in part.cells for u in c.values]
@@ -155,7 +156,7 @@ def _assign_to_partition(
             )
         out.append(int(cell_of[lo]))
         lo = hi
-    return out
+    return np.asarray(out)
 
 
 def _partition_isometries(
@@ -164,29 +165,23 @@ def _partition_isometries(
     """Eigenvector matrix of ``op`` plus, per column, the index of the
     partition cell its eigenvalue belongs to (its spectral cell when
     ``part`` is None)."""
-    cells = _clustered_eigensystem(op)
-    labels = [c for c, _ in cells]
-    assignment = range(len(cells)) if part is None else _assign_to_partition(labels, part)
-    widths = [iso.shape[1] for _, iso in cells]
-    return np.column_stack([iso for _, iso in cells]), np.repeat(list(assignment), widths)
+    cells, v, cell = _clustered_eigensystem(op)
+    return v, (cell if part is None else _assign_to_partition(cells, part)[cell])
 
 
 def partition_probabilities(state, pvm: PVM, part: SpectrumPartition) -> Distribution:
     """Measurement law coarse-grained by a spectrum partition.
 
     Support labels are the partition cells' minima (distinct for disjoint
-    cells; the value itself for singleton cells).  Each PVM cell's
-    Re tr(W* rho W), from its isometry W, is added into the partition cell
-    it falls inside.
+    cells; the value itself for singleton cells).  Each PVM column's
+    Born weight is added into the partition cell its PVM cell falls inside.
     """
     rho = _as_density(state)
     if rho.dim != pvm.dim:
         raise DimensionError(f"state dim {rho.dim} != PVM dim {pvm.dim}")
-    labels = list(pvm.labels)
-    if not all(isinstance(lb, SpectralCell) for lb in labels):
+    if not all(isinstance(lb, SpectralCell) for lb in pvm.labels):
         raise PartitionError("the PVM must carry spectral-cell labels")
-    weights = [np.vdot(w, rho.matrix @ w).real for _, w in pvm.isometries]
-    probs = np.bincount(_assign_to_partition(labels, part), weights=weights, minlength=len(part))
+    probs = _cell_weights(rho.matrix, pvm.stack, _assign_to_partition(pvm.labels, part)[pvm.cell], len(part))
     return Distribution([c.representative for c in part.cells], np.maximum(probs, 0.0))
 
 
@@ -198,9 +193,7 @@ def epsilon_entropy(state, op: HermitianOperator, part: SpectrumPartition) -> fl
     rho = _as_density(state)
     if rho.dim != op.dim:
         raise DimensionError(f"state dim {rho.dim} != operator dim {op.dim}")
-    w, idx = _partition_isometries(op, part)
-    diag = ((rho.matrix @ w) * w.conj()).sum(axis=0).real
-    probs = np.maximum(np.bincount(idx, weights=diag, minlength=len(part)), 0.0)
+    probs = np.maximum(_cell_weights(rho.matrix, *_partition_isometries(op, part), len(part)), 0.0)
     return shannon_entropy(Distribution([c.representative for c in part.cells], probs))
 
 
@@ -296,7 +289,9 @@ class MinEntropyResult:
     Iterating yields ``(value, state)`` so the result unpacks like a pair.
     ``value`` is the exact entropy sum of ``state``, except that a sum
     within 1e-12 of 0.0 ties with 0.0 and reads 0.0, so it never falls
-    more than 1e-12 below the true infimum.
+    more than 1e-12 below the true infimum.  ``evaluations`` counts the
+    objective's evaluations per restart and ``iterations_per_restart`` the
+    L-BFGS-B iterations; ``iterations`` is their sum.
     """
 
     value: float
@@ -306,6 +301,8 @@ class MinEntropyResult:
     iterations: int
     seed: int
     best_restart: int
+    evaluations: tuple
+    iterations_per_restart: tuple
 
     def __iter__(self):
         return iter((self.value, self.state))
@@ -388,8 +385,10 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
         return -float(p @ log_p), g
 
     cache = [None, None]  # the last point fun evaluated, as bytes, and its gradient
+    evaluations = []  # per restart, the calls to fun
 
     def fun(z: np.ndarray) -> float:
+        evaluations[-1] += 1
         value, cache[1] = objective(z)
         cache[0] = z.tobytes()
         return value
@@ -399,10 +398,11 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
 
     rng = np.random.default_rng(opt.seed)
     ends = []  # per restart: (end value, end point, success)
-    total_iters = 0
+    iterations = []
     ftol = max(opt.tol * 1e-6, 2.3e-16)
     for _ in range(opt.restarts):
         z0 = rng.standard_normal(2 * d)
+        evaluations.append(0)
         res = minimize(
             fun,
             z0,
@@ -410,7 +410,7 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
             jac=jac,
             options={"maxiter": opt.max_iters, "ftol": ftol, "gtol": 1e-10},
         )
-        total_iters += int(res.nit)
+        iterations.append(int(res.nit))
         ends.append((objective(res.x)[0], res.x, bool(res.success)))
 
     # End values within 1e-12 relative of the lowest tie, and the lowest
@@ -429,9 +429,11 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
         state=PureState(psi),
         converged=best_ok,
         restarts=opt.restarts,
-        iterations=total_iters,
+        iterations=sum(iterations),
         seed=opt.seed,
         best_restart=best_k,
+        evaluations=tuple(evaluations),
+        iterations_per_restart=tuple(iterations),
     )
 
 

@@ -10,9 +10,10 @@ dispersion.
 Conventions
 -----------
 * Operator norm means the spectral (2-) norm throughout.
-* A PVM cell is held as an isometry W (projector W W*), so building and
-  reading a PVM costs O(d^3); no d x d projector is formed unless a
-  caller asks for ``PVM.projectors``.
+* A PVM holds its cells' isometries W (projector W W*) side by side in
+  one d x d matrix, with each column's cell index, so building and reading
+  a PVM costs O(d^3); no d x d projector is formed unless a caller asks
+  for ``PVM.projectors``.
 * Eigen-decompositions are made deterministic: eigenvalues ascending, and
   each eigenvector is rescaled so its largest-magnitude entry (ties: the
   lowest index) is real and positive.
@@ -231,19 +232,20 @@ class PVM:
     """A projector-valued measure: labelled cells with orthogonal
     projectors summing to the identity.
 
-    Each cell is stored as ``(label, W)`` with W an isometry whose columns
-    span the cell's range, so its projector is P = W W*.  One check covers
-    every axiom (Hermitian, idempotent, orthogonal, complete): the stacked
-    isometries S = [W_1 ... W_k] hold d columns and ||S* S - I|| <=
-    ``PVM_TOL``.  ``PVM(cells)`` takes (label, projector) pairs and
-    factorises each projector with one ``eigh``; ``cells``, ``projectors``
-    and iteration give the projectors back as W W*.
+    The cells' isometries sit side by side in one d x d matrix ``stack``
+    S = [W_1 ... W_k], and ``cell`` gives, for each column of S, the index
+    of its cell in ``labels``; cell k's projector is W_k W_k*.  One check
+    covers every axiom (Hermitian, idempotent, orthogonal, complete): S has
+    d columns and ||S* S - I|| <= ``PVM_TOL``.  ``PVM(cells)`` takes
+    (label, projector) pairs and factorises each projector with one
+    ``eigh``; ``cells``, ``projectors`` and iteration give the projectors
+    back as W W*.
     """
 
-    __slots__ = ("isometries",)
+    __slots__ = ("labels", "stack", "cell")
 
     def __init__(self, cells: Iterable[tuple[object, np.ndarray]]):
-        entries = []
+        labels, isos = [], []
         for label, proj in cells:
             p = matrix_of(proj)
             if float(np.abs(p - p.conj().T).max()) > PVM_TOL:
@@ -251,52 +253,48 @@ class PVM:
             w, v = np.linalg.eigh((p + p.conj().T) / 2)
             if float(np.abs(w * (w - 1.0)).max()) > PVM_TOL:  # ||P^2 - P||
                 raise ValueError(f"cell {label!r}: projector not idempotent")
-            entries.append((label, v[:, w > 0.5]))
-        self._store(entries)
+            labels.append(label)
+            isos.append(v[:, w > 0.5])
+        if not isos:
+            raise ValueError("a PVM needs at least one cell")
+        if any(w.shape[0] != isos[0].shape[0] for w in isos):
+            raise DimensionError("all projectors must share one dimension")
+        self._store(labels, np.hstack(isos), np.repeat(np.arange(len(isos)), [w.shape[1] for w in isos]))
 
     @classmethod
-    def _from_isometries(cls, cells: Iterable[tuple[object, np.ndarray]]) -> PVM:
+    def _from_stack(cls, labels: Sequence, stack: np.ndarray, cell: np.ndarray) -> PVM:
         pvm = object.__new__(cls)
-        pvm._store(cells)
+        pvm._store(labels, stack, cell)
         return pvm
 
-    def _store(self, cells) -> None:
-        entries = tuple((label, _frozen(w)) for label, w in cells)
-        if not entries:
-            raise ValueError("a PVM needs at least one cell")
-        dim = entries[0][1].shape[0]
-        if any(w.shape[0] != dim for _, w in entries):
-            raise DimensionError("all projectors must share one dimension")
-        stacked = np.hstack([w for _, w in entries])
-        dev = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
+    def _store(self, labels, stack, cell) -> None:
+        stack, cell = _frozen(stack), np.array(cell, dtype=np.intp)
+        cell.setflags(write=False)
+        dev = stack.conj().T @ stack - np.eye(stack.shape[1])
         if operator_norm(dev) > PVM_TOL:
             # every W comes from eigh, so its own block of S* S is I to rounding
             # and the worst entry lies between two overlapping cells
-            owner = np.repeat(np.arange(len(entries)), [w.shape[1] for _, w in entries])
-            i, j = sorted(owner[list(np.unravel_index(np.argmax(np.abs(dev)), dev.shape))])
-            raise ValueError(f"cells {entries[i][0]!r} and {entries[j][0]!r} are not orthogonal")
-        if stacked.shape[1] != dim:
+            i, j = sorted(cell[list(np.unravel_index(np.argmax(np.abs(dev)), dev.shape))])
+            raise ValueError(f"cells {labels[i]!r} and {labels[j]!r} are not orthogonal")
+        if stack.shape[1] != stack.shape[0]:
             raise ValueError("projectors do not sum to the identity")
-        self.isometries = entries
+        self.labels, self.stack, self.cell = tuple(labels), stack, cell
 
     @property
     def dim(self) -> int:
-        return self.isometries[0][1].shape[0]
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self.isometries)
+        return self.stack.shape[0]
 
     @property
     def projectors(self) -> tuple:
-        return tuple(w @ w.conj().T for _, w in self.isometries)
+        isos = (self.stack[:, self.cell == k] for k in range(len(self)))
+        return tuple(w @ w.conj().T for w in isos)
 
     @property
     def cells(self) -> tuple:
         return tuple(zip(self.labels, self.projectors))
 
     def __len__(self) -> int:
-        return len(self.isometries)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.cells)
@@ -330,29 +328,18 @@ def _eigenvalue_tol(values) -> float:
     return EIGENVALUE_TOL * max(1.0, float(np.abs(values).max()))
 
 
-def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group ascending eigenvalues into chains with successive gap <= tol."""
-    groups: list[list[int]] = [[0]]
-    for i in range(1, eigenvalues.size):
-        if eigenvalues[i] - eigenvalues[i - 1] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.asarray(g) for g in groups]
-
-
 def _clustered_eigensystem(
     op: HermitianOperator, exact: bool = False
-) -> list[tuple[SpectralCell, np.ndarray]]:
-    """(cell, isometry) pairs: isometry columns span the cell's eigenspace.
+) -> tuple[tuple[SpectralCell, ...], np.ndarray, np.ndarray]:
+    """(cells, V, cell): the spectral cells in ascending order, the
+    eigenvector matrix V and, per column of V, the index of its cell.
 
-    Eigenvalues within :func:`_eigenvalue_tol` of each other share a cell;
-    with ``exact`` only equal ones do."""
+    Ascending eigenvalues form one cell while each successive gap is within
+    :func:`_eigenvalue_tol`; with ``exact`` only equal ones do."""
     w, v = _fixed_phase_eigh(op.matrix)
-    tol = 0.0 if exact else _eigenvalue_tol(w)
-    return [
-        (SpectralCell(w[idx]), v[:, idx]) for idx in _cluster_indices(w, tol)
-    ]
+    splits = np.diff(w) > (0.0 if exact else _eigenvalue_tol(w))
+    cells = tuple(SpectralCell(g) for g in np.split(w, np.flatnonzero(splits) + 1))
+    return cells, v, np.concatenate(([0], np.cumsum(splits)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +353,21 @@ def observable_from_distribution(dist: Distribution) -> tuple[HermitianOperator,
     singleton cell per support value, labelled by that value's cell.
     """
     op = HermitianOperator(np.diag(np.asarray(dist.support, dtype=complex)))
-    eye = np.eye(len(dist), dtype=complex)
-    cells = [(SpectralCell((x,)), eye[:, [i]]) for i, x in enumerate(dist.support)]
-    return op, PVM._from_isometries(cells)
+    labels = [SpectralCell((x,)) for x in dist.support]
+    return op, PVM._from_stack(labels, np.eye(len(dist)), np.arange(len(dist)))
 
 
-def _spectral_sum(isos: Sequence[np.ndarray], values: Sequence[float]) -> np.ndarray:
-    """sum_i values[i] W_i W_i*, formed as one product V diag(y) V* over the
-    isometries V = [W_1 ... W_k] side by side, so no per-cell projector."""
-    v = np.hstack(isos)
-    y = np.repeat(np.asarray(values, dtype=float), [w.shape[1] for w in isos])
-    return (v * y) @ v.conj().T
+def _spectral_sum(stack: np.ndarray, cell: np.ndarray, values: Sequence[float]) -> np.ndarray:
+    """sum_k values[k] W_k W_k*, formed as one product S diag(values[cell]) S*
+    over the isometries S = [W_1 ... W_k] side by side, so no per-cell
+    projector."""
+    return (stack * np.asarray(values, dtype=float)[cell]) @ stack.conj().T
+
+
+def _cell_weights(rho: np.ndarray, stack: np.ndarray, cell: np.ndarray, n: int) -> np.ndarray:
+    """Born weights Re tr(W_k* rho W_k) of cells 0..n-1: Re diag(S* rho S)
+    summed per cell, so no d x d projector is formed."""
+    return np.bincount(cell, weights=((rho @ stack) * stack.conj()).sum(axis=0).real, minlength=n)
 
 
 def density_from_distribution(dist: Distribution, pvm: PVM) -> DensityOperator:
@@ -385,7 +376,7 @@ def density_from_distribution(dist: Distribution, pvm: PVM) -> DensityOperator:
         raise DimensionError(
             f"distribution has {len(dist)} values but the PVM has {len(pvm)} cells"
         )
-    return DensityOperator(_spectral_sum([w for _, w in pvm.isometries], dist.probs))
+    return DensityOperator(_spectral_sum(pvm.stack, pvm.cell, dist.probs))
 
 
 def spectral_pvm(op: HermitianOperator) -> PVM:
@@ -394,7 +385,7 @@ def spectral_pvm(op: HermitianOperator) -> PVM:
     Successive eigenvalues with gap <= ``EIGENVALUE_TOL`` relative to the
     spectral radius (absolute when the radius is below 1) share a cell.
     """
-    return PVM._from_isometries(_clustered_eigensystem(op))
+    return PVM._from_stack(*_clustered_eigensystem(op))
 
 
 def apply_function(f, op: HermitianOperator) -> HermitianOperator:
@@ -404,17 +395,17 @@ def apply_function(f, op: HermitianOperator) -> HermitianOperator:
     eigenvalues to values; mapping keys are matched within 1e-6.  Exact
     duplicate eigenvalues share a cell; distinct ones are kept apart.
     """
-    cells = _clustered_eigensystem(op, exact=True)
+    cells, v, cell = _clustered_eigensystem(op, exact=True)
     ys = []
-    for cell, _ in cells:
-        x = cell.mean
+    for c in cells:
+        x = c.mean
         try:
             ys.append(_evaluate(f, x))
         except DomainError:
             raise
         except Exception as exc:
             raise DomainError(f"function undefined at eigenvalue {x!r}: {exc}") from exc
-    return HermitianOperator(_spectral_sum([iso for _, iso in cells], ys))
+    return HermitianOperator(_spectral_sum(v, cell, ys))
 
 
 def _evaluate(f, x: float) -> float:
@@ -457,8 +448,7 @@ def spectral_measure(state, pvm: PVM) -> Distribution:
     if rho.dim != pvm.dim:
         raise DimensionError(f"state dim {rho.dim} != PVM dim {pvm.dim}")
     pairs = []
-    for label, w in pvm.isometries:
-        p = float(np.vdot(w, rho.matrix @ w).real)
+    for label, p in zip(pvm.labels, _cell_weights(rho.matrix, pvm.stack, pvm.cell, len(pvm)).tolist()):
         if p < -1e-10:
             raise ValueError(f"cell {label!r}: negative probability {p!r}")
         pairs.append((_cell_label_value(label), max(p, 0.0)))
@@ -480,15 +470,14 @@ def trace_expectation(rho: DensityOperator, op: HermitianOperator) -> float:
 # joint measures for commuting pairs
 
 
-def _joint_blocks(
-    a: HermitianOperator, b: HermitianOperator
-) -> list[tuple[SpectralCell, SpectralCell, np.ndarray]]:
+def _joint_blocks(a: HermitianOperator, b: HermitianOperator) -> tuple[list, np.ndarray, np.ndarray]:
     """Simultaneous block diagonalisation of a commuting pair.
 
-    Yields (cell_of_a, cell_of_b, isometry) triples whose isometries are
-    mutually orthogonal and jointly complete.  Inside each eigenspace of
-    ``a`` the restriction of ``b`` is diagonalised, and the restricted
-    eigenvalues are matched to the cells of ``b``'s own spectral measure.
+    Returns the (labels, stack, cell) of a PVM: labels are (cell_of_a,
+    cell_of_b) pairs and the cells' isometries are mutually orthogonal and
+    jointly complete.  Inside each eigenspace of ``a`` the restriction of
+    ``b`` is diagonalised, and the restricted eigenvalues are matched to the
+    cells of ``b``'s own spectral measure.
     """
     if a.dim != b.dim:
         raise DimensionError(f"operator dims differ: {a.dim} vs {b.dim}")
@@ -497,18 +486,20 @@ def _joint_blocks(
         raise NonCommutingError(
             f"operators do not commute: ||[A,B]|| = {c:.3e} > {COMM_TOL:.1e}"
         )
-    cells_b = _clustered_eigensystem(b)
-    scale_b = max(1.0, max(abs(v) for cell, _ in cells_b for v in cell.values))
+    cells_b = _clustered_eigensystem(b)[0]
+    scale_b = max(1.0, max(abs(v) for cell in cells_b for v in cell.values))
     assign_tol = max(1e-6 * scale_b, 10.0 * COMM_TOL)
 
-    out = []
-    for cell_a, iso_a in _clustered_eigensystem(a):
+    labels, isos = [], []
+    cells_a, va, cell_of = _clustered_eigensystem(a)
+    for k, cell_a in enumerate(cells_a):
+        iso_a = va[:, cell_of == k]
         restricted = iso_a.conj().T @ b.matrix @ iso_a
         w, v = _fixed_phase_eigh((restricted + restricted.conj().T) / 2)
         # bucket the restricted eigenvalues by the nearest cell of b
         buckets: dict[int, list[int]] = {}
         for col, beta in enumerate(w):
-            gaps = [min(abs(beta - val) for val in cell.values) for cell, _ in cells_b]
+            gaps = [min(abs(beta - val) for val in cell.values) for cell in cells_b]
             j = int(np.argmin(gaps))
             if gaps[j] > assign_tol:
                 raise NonCommutingError(
@@ -517,9 +508,9 @@ def _joint_blocks(
                 )
             buckets.setdefault(j, []).append(col)
         for j in sorted(buckets):
-            cols = np.asarray(buckets[j])
-            out.append((cell_a, cells_b[j][0], iso_a @ v[:, cols]))
-    return out
+            labels.append((cell_a, cells_b[j]))
+            isos.append(iso_a @ v[:, buckets[j]])
+    return labels, np.hstack(isos), np.repeat(np.arange(len(isos)), [w.shape[1] for w in isos])
 
 
 def joint_pvm(a: HermitianOperator, b: HermitianOperator) -> PVM:
@@ -532,8 +523,7 @@ def joint_pvm(a: HermitianOperator, b: HermitianOperator) -> PVM:
 
     Raises :class:`NonCommutingError` when ||[A,B]|| > ``COMM_TOL``.
     """
-    blocks = _joint_blocks(a, b)
-    return PVM._from_isometries(((ca, cb), iso) for ca, cb, iso in blocks)
+    return PVM._from_stack(*_joint_blocks(a, b))
 
 
 def common_refiner(
@@ -544,10 +534,10 @@ def common_refiner(
 
     The joint cells of the pair are enumerated 0..m-1; C = sum_k k*Q_k.
     """
-    blocks = _joint_blocks(a, b)
-    c = _spectral_sum([iso for _, _, iso in blocks], range(len(blocks)))
-    f1 = {k: cell_a.mean for k, (cell_a, _, _) in enumerate(blocks)}
-    f2 = {k: cell_b.mean for k, (_, cell_b, _) in enumerate(blocks)}
+    labels, stack, cell = _joint_blocks(a, b)
+    c = _spectral_sum(stack, cell, range(len(labels)))
+    f1 = {k: cell_a.mean for k, (cell_a, _) in enumerate(labels)}
+    f2 = {k: cell_b.mean for k, (_, cell_b) in enumerate(labels)}
     return HermitianOperator(c), f1, f2
 
 
@@ -724,6 +714,4 @@ def dispersion_free_state(a: HermitianOperator, b: HermitianOperator) -> PureSta
     ordered ascending in both eigenvalues).  Non-commuting input raises
     :class:`NonCommutingError`.
     """
-    blocks = _joint_blocks(a, b)
-    iso = blocks[0][2]
-    return PureState(iso[:, 0])
+    return PureState(_joint_blocks(a, b)[1][:, 0])

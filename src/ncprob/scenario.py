@@ -37,6 +37,7 @@ from .classical import (
     Event,
     FiniteProbabilitySpace,
     RandomVariable,
+    as_real,
     lln_frequency,
     pushforward,
     shannon_entropy,
@@ -312,7 +313,7 @@ def _build_unitary(spec, dimension: int) -> np.ndarray:
             )
         return hilbert.hadamard_unitary()
     try:
-        m = np.asarray([[complex(re, im) for re, im in row] for row in spec["entries"]], dtype=complex)
+        m = np.asarray([[complex(as_real(re), as_real(im)) for re, im in row] for row in spec["entries"]], dtype=complex)
     except _BAD_VALUE as exc:
         raise ScenarioError(
             f"entries must be rows of [re, im] pairs ({exc})", field="unitary.entries"
@@ -636,12 +637,10 @@ def _marginal_residual(pvm, apvm) -> float:
     """Largest ||P - Q||_2 over the cells of A, P = W W* in ``apvm`` and Q = V V*
     the sum of its joint projectors in ``pvm``, read from the isometries:
     ||P - Q|| = max(||(I - P)Q||, ||(I - Q)P||) = max(||V - W(W*V)||, ||W - V(V*W)||)."""
-    joint: dict[float, list] = {}
-    for (ca, _), v in pvm.isometries:
-        joint.setdefault(ca.representative, []).append(v)
+    a_value = np.array([ca.representative for ca, _ in pvm.labels])[pvm.cell]  # per joint column
     residual = 0.0
-    for c, w in apvm.isometries:
-        v = np.hstack(joint[c.representative])
+    for k, c in enumerate(apvm.labels):
+        w, v = apvm.stack[:, apvm.cell == k], pvm.stack[:, a_value == c.representative]
         for x, y in ((v, w), (w, v)):
             residual = max(residual, float(np.linalg.norm(x - y @ (y.conj().T @ x), 2)))
     return residual
@@ -652,7 +651,7 @@ def _run_joint_pvm(scenario, args, opt):
     pvm = hilbert.joint_pvm(ta, tb)
     return {
         "cells": [[ca.representative, cb.representative] for ca, cb in pvm.labels],
-        "ranks": [w.shape[1] for _, w in pvm.isometries],
+        "ranks": np.bincount(pvm.cell).tolist(),
         "marginal_residual": _marginal_residual(pvm, hilbert.spectral_pvm(ta)),
     }
 

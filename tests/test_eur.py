@@ -645,6 +645,8 @@ class TestOptimizerCallContract:
             assert [c.fun_calls for c in spy.calls] == [c.nfev for c in spy.calls]
             assert spy.fun_calls > 0
             assert seen.iterations == sum(c.nit for c in spy.calls)
+            assert seen.iterations_per_restart == tuple(c.nit for c in spy.calls)
+            assert seen.evaluations == tuple(c.fun_calls for c in spy.calls) == tuple(c.nfev for c in spy.calls)
             assert (seen.value, seen.best_restart, seen.iterations) == (
                 plain.value, plain.best_restart, plain.iterations
             )

@@ -135,8 +135,11 @@ class TestPVMValidation:
         u = random_unitary(rng, 5)
         blocks = [u[:, :1], u[:, 1:3], u[:, 3:]]
         pvm = PVM([(k, b @ b.conj().T) for k, b in enumerate(blocks)])
-        assert [w.shape for _, w in pvm.isometries] == [(5, 1), (5, 2), (5, 2)]
-        for _, w in pvm.isometries:
+        assert pvm.stack.shape == (5, 5)
+        assert pvm.cell.tolist() == [0, 1, 1, 2, 2]
+        isos = [pvm.stack[:, pvm.cell == k] for k in range(len(pvm))]
+        assert [w.shape for w in isos] == [(5, 1), (5, 2), (5, 2)]
+        for w in isos:
             assert np.abs(w.conj().T @ w - np.eye(w.shape[1])).max() <= 1e-12
 
 
@@ -219,16 +222,20 @@ class TestSpectralPVM:
         assert n_cells([0.5, 0.5 + 5e-8]) == 2
         assert n_cells([0.0, 1e6, 1e6 + 5e-3]) == 2
         assert n_cells([0.0, 1e6, 1e6 + 5e-2]) == 3
+        # successive gaps decide: a chain of 6e-9 gaps joins although its
+        # span exceeds the tolerance, and one 1.1e-8 gap splits
+        assert n_cells([0.0, 6e-9, 1.2e-8, 1.0]) == 2
+        assert n_cells([0.0, 6e-9, 1.7e-8]) == 2
 
     def test_eigenvector_phase_pins_the_largest_entry(self):
         assert np.array_equal(_with_fixed_phase(np.array([1j, -1.0, 0.5])), [1.0, 1j, -0.5j])  # lowest index on ties
         assert np.array_equal(_with_fixed_phase(np.zeros(3, dtype=complex)), np.zeros(3))
         rng = np.random.default_rng(58)
         op = random_hermitian(rng, 6)
-        for _, iso in _clustered_eigensystem(op):
-            for col in iso.T:
-                pivot = col[int(np.argmax(np.abs(col)))]
-                assert pivot.real > 0.0 and abs(pivot.imag) <= 1e-15
+        _, v, _ = _clustered_eigensystem(op)
+        for col in v.T:
+            pivot = col[int(np.argmax(np.abs(col)))]
+            assert pivot.real > 0.0 and abs(pivot.imag) <= 1e-15
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(55)
@@ -256,9 +263,10 @@ class TestSpectralPVM:
         u = random_unitary(rng, dim)
         op = HermitianOperator(u @ np.diag(vals) @ u.conj().T)
         pvm = spectral_pvm(op)
-        system = _clustered_eigensystem(op)
-        assert pvm.labels == tuple(cell for cell, _ in system)
-        for proj, (_, iso) in zip(pvm.projectors, system, strict=True):
+        cells, v, cell = _clustered_eigensystem(op)
+        assert pvm.labels == cells
+        isos = [v[:, cell == k] for k in range(len(cells))]
+        for proj, iso in zip(pvm.projectors, isos, strict=True):
             assert np.array_equal(proj, iso @ iso.conj().T)
         back = PVM(pvm.cells)
         assert back.labels == pvm.labels
@@ -353,6 +361,23 @@ class TestSpectralMeasure:
         op = HermitianOperator(np.diag([0.0, 1.0]))
         with pytest.raises(DimensionError):
             spectral_measure(basis_state(3, 0), spectral_pvm(op))
+
+    # two eigenvalues each within DENSITY_TOL of 0 add up past it on one cell
+    _SLIGHTLY_NEGATIVE = DensityOperator(np.diag([-0.9e-10, -0.9e-10, 1 + 1.8e-10]))
+    _RANK_TWO = PVM([(SpectralCell((0.0,)), np.diag([1.0, 1.0, 0.0])), (SpectralCell((1.0,)), np.diag([0.0, 0.0, 1.0]))])
+
+    def test_negative_cell_weight_is_rejected(self):
+        with pytest.raises(ValueError) as err:
+            spectral_measure(self._SLIGHTLY_NEGATIVE, self._RANK_TWO)
+        assert str(err.value) == "cell SpectralCell(values=(0.0,)): negative probability -1.8e-10"
+
+    def test_partition_probabilities_clamps_a_rounding_negative_weight(self):
+        part = SpectrumPartition.singletons([0.0, 1.0])
+        rho = DensityOperator(np.diag([-4e-13, -4e-13, 1 + 8e-13]))
+        assert partition_probabilities(rho, self._RANK_TWO, part).prob_of(0.0) == 0.0
+        # clamped to 0, a -1.8e-10 weight leaves a mass the law's check rejects
+        with pytest.raises(ValueError):
+            partition_probabilities(self._SLIGHTLY_NEGATIVE, self._RANK_TWO, part)
 
 
 class TestCommutator:

@@ -552,6 +552,10 @@ BOUNDARY_CASES = [
     pytest.param("fourier2", ("partitions", "fine"), [["1"], [2]], [], "partitions.fine", id="partition-string"),
     pytest.param("fourier2", ("partitions", "fine"), [[True], [2]], [], "partitions.fine", id="partition-true"),
     pytest.param(
+        "fourier2", ("unitary",), {"kind": "explicit", "entries": [[[True, 0], [0, 0]], [[0, 0], [True, False]]]}, [],
+        "unitary.entries", id="unitary-entries-true",
+    ),
+    pytest.param(
         "interference", ("kernel",), {"alpha": [["0.5", 0.5], [0.5, 0.5]], "alpha_tilde": [[0.5, 0.5], [0.5, 0.5]]}, [],
         "kernel", id="kernel-alpha-string",
     ),
