@@ -161,7 +161,7 @@ class Distribution:
     @classmethod
     def uniform(cls, support: Iterable[float]) -> "Distribution":
         sup = tuple(support)
-        return cls(sup, (1.0 / len(sup),) * len(sup))
+        return cls(sup, (1.0 / max(len(sup), 1),) * len(sup))
 
     def prob_of(self, value: float) -> float:
         for x, p in zip(self.support, self.probs):
@@ -209,10 +209,11 @@ def condition(space: FiniteProbabilitySpace, event: Event) -> FiniteProbabilityS
 
 
 def shannon_entropy(dist: Distribution) -> float:
-    """Shannon entropy in nats, with the 0*ln(0) = 0 convention."""
+    """Shannon entropy in nats, with the 0*ln(0) = 0 convention; a point
+    mass gives 0.0, not -0.0."""
     p = np.asarray(dist.probs)
     nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return 0.0 - float((nz * np.log(nz)).sum())
 
 
 def lln_frequency(

@@ -35,7 +35,7 @@ from .hilbert import (
     PureState,
     SpectralCell,
     _as_density,
-    _cell_weights,
+    _born_law,
     _clustered_eigensystem,
     _eigenvalue_tol,
     _with_fixed_phase,
@@ -60,13 +60,14 @@ class SpectrumPartition:
     cells: tuple
 
     def __init__(self, cells: Iterable[SpectralCell]):
-        cs = tuple(sorted(cells, key=lambda c: c.representative))
+        cs = tuple(cells)
+        if bad := [type(c).__name__ for c in cs if not isinstance(c, SpectralCell)]:
+            raise PartitionError(f"partition cells must be SpectralCell, got {bad[0]}")
+        cs = tuple(sorted(cs, key=lambda c: c.representative))
         if not cs:
             raise PartitionError("a partition needs at least one cell")
         seen: set[float] = set()
         for c in cs:
-            if not isinstance(c, SpectralCell):
-                raise PartitionError(f"partition cells must be SpectralCell, got {type(c).__name__}")
             overlap = seen.intersection(c.values)
             if overlap:
                 raise PartitionError(f"cells overlap on values {sorted(overlap)}")
@@ -181,8 +182,7 @@ def partition_probabilities(state, pvm: PVM, part: SpectrumPartition) -> Distrib
         raise DimensionError(f"state dim {rho.dim} != PVM dim {pvm.dim}")
     if not all(isinstance(lb, SpectralCell) for lb in pvm.labels):
         raise PartitionError("the PVM must carry spectral-cell labels")
-    probs = _cell_weights(rho.matrix, pvm.stack, _assign_to_partition(pvm.labels, part)[pvm.cell], len(part))
-    return Distribution([c.representative for c in part.cells], np.maximum(probs, 0.0))
+    return _born_law(rho.matrix, pvm.stack, _assign_to_partition(pvm.labels, part)[pvm.cell], part.cells)
 
 
 def epsilon_entropy(state, op: HermitianOperator, part: SpectrumPartition) -> float:
@@ -193,8 +193,7 @@ def epsilon_entropy(state, op: HermitianOperator, part: SpectrumPartition) -> fl
     rho = _as_density(state)
     if rho.dim != op.dim:
         raise DimensionError(f"state dim {rho.dim} != operator dim {op.dim}")
-    probs = np.maximum(_cell_weights(rho.matrix, *_partition_isometries(op, part), len(part)), 0.0)
-    return shannon_entropy(Distribution([c.representative for c in part.cells], probs))
+    return shannon_entropy(_born_law(rho.matrix, *_partition_isometries(op, part), part.cells))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ Conventions
 * Eigen-decompositions are made deterministic: eigenvalues ascending, and
   each eigenvector is rescaled so its largest-magnitude entry (ties: the
   lowest index) is real and positive.
+* One rule per spectral question: :func:`_hermitian_part` is the Hermitian
+  gate, :func:`_clustered_eigensystem` the clustering (``apply_function``
+  reads single eigenvalues) and :func:`_born_law` the Born law.
 """
 
 from __future__ import annotations
@@ -113,6 +116,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
+    """(A + A*)/2, if max|A - A*| <= ``HERMITIAN_TOL``; ``what`` names A."""
+    dev = float(np.abs(m - m.conj().T).max())
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"{what} not Hermitian: max|A - A*| = {dev:.3e}")
+    return (m + m.conj().T) / 2
+
+
 class HermitianOperator:
     """A Hermitian matrix, symmetrised and frozen at construction.
 
@@ -123,11 +134,7 @@ class HermitianOperator:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = matrix_of(matrix)
-        dev = float(np.abs(m - m.conj().T).max())
-        if dev > HERMITIAN_TOL:
-            raise ValueError(f"matrix is not Hermitian: max|A - A*| = {dev:.3e}")
-        self.matrix = _frozen((m + m.conj().T) / 2)
+        self.matrix = _frozen(_hermitian_part(matrix_of(matrix), "matrix is"))
 
     @property
     def dim(self) -> int:
@@ -150,11 +157,7 @@ class DensityOperator:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = matrix_of(matrix)
-        dev = float(np.abs(m - m.conj().T).max())
-        if dev > HERMITIAN_TOL:
-            raise ValueError(f"density matrix not Hermitian: max|A - A*| = {dev:.3e}")
-        h = (m + m.conj().T) / 2
+        h = _hermitian_part(matrix_of(matrix), "density matrix")
         eigs = np.linalg.eigvalsh(h)
         if eigs.min() < -DENSITY_TOL:
             raise ValueError(f"density matrix not positive: min eigenvalue {eigs.min():.3e}")
@@ -247,10 +250,7 @@ class PVM:
     def __init__(self, cells: Iterable[tuple[object, np.ndarray]]):
         labels, isos = [], []
         for label, proj in cells:
-            p = matrix_of(proj)
-            if float(np.abs(p - p.conj().T).max()) > PVM_TOL:
-                raise ValueError(f"cell {label!r}: projector not Hermitian")
-            w, v = np.linalg.eigh((p + p.conj().T) / 2)
+            w, v = np.linalg.eigh(_hermitian_part(matrix_of(proj), f"cell {label!r}: projector"))
             if float(np.abs(w * (w - 1.0)).max()) > PVM_TOL:  # ||P^2 - P||
                 raise ValueError(f"cell {label!r}: projector not idempotent")
             labels.append(label)
@@ -328,16 +328,14 @@ def _eigenvalue_tol(values) -> float:
     return EIGENVALUE_TOL * max(1.0, float(np.abs(values).max()))
 
 
-def _clustered_eigensystem(
-    op: HermitianOperator, exact: bool = False
-) -> tuple[tuple[SpectralCell, ...], np.ndarray, np.ndarray]:
+def _clustered_eigensystem(op: HermitianOperator) -> tuple[tuple[SpectralCell, ...], np.ndarray, np.ndarray]:
     """(cells, V, cell): the spectral cells in ascending order, the
     eigenvector matrix V and, per column of V, the index of its cell.
 
     Ascending eigenvalues form one cell while each successive gap is within
-    :func:`_eigenvalue_tol`; with ``exact`` only equal ones do."""
+    :func:`_eigenvalue_tol`."""
     w, v = _fixed_phase_eigh(op.matrix)
-    splits = np.diff(w) > (0.0 if exact else _eigenvalue_tol(w))
+    splits = np.diff(w) > _eigenvalue_tol(w)
     cells = tuple(SpectralCell(g) for g in np.split(w, np.flatnonzero(splits) + 1))
     return cells, v, np.concatenate(([0], np.cumsum(splits)))
 
@@ -364,10 +362,19 @@ def _spectral_sum(stack: np.ndarray, cell: np.ndarray, values: Sequence[float]) 
     return (stack * np.asarray(values, dtype=float)[cell]) @ stack.conj().T
 
 
-def _cell_weights(rho: np.ndarray, stack: np.ndarray, cell: np.ndarray, n: int) -> np.ndarray:
-    """Born weights Re tr(W_k* rho W_k) of cells 0..n-1: Re diag(S* rho S)
-    summed per cell, so no d x d projector is formed."""
-    return np.bincount(cell, weights=((rho @ stack) * stack.conj()).sum(axis=0).real, minlength=n)
+def _born_law(rho: np.ndarray, stack: np.ndarray, cell: np.ndarray, labels: Sequence) -> Distribution:
+    """Law of the cells ``labels`` in the state ``rho``: cell k's Born weight
+    is Re diag(S* rho S) summed over its columns, so no projector is formed.
+    A weight below -``DENSITY_TOL`` is an error naming its cell; the others
+    are clamped at 0 and renormalised, on each label's real value, ascending."""
+    weights = np.bincount(cell, weights=((rho @ stack) * stack.conj()).sum(axis=0).real, minlength=len(labels))
+    if (low := weights < -DENSITY_TOL).any():
+        k = int(low.argmax())
+        raise ValueError(f"cell {labels[k]!r}: negative probability {float(weights[k])!r}")
+    weights = np.maximum(weights, 0.0)
+    values = np.array([_cell_label_value(label) for label in labels])
+    order = np.argsort(values, kind="stable")
+    return Distribution(values[order], weights[order] / weights.sum())
 
 
 def density_from_distribution(dist: Distribution, pvm: PVM) -> DensityOperator:
@@ -392,20 +399,20 @@ def apply_function(f, op: HermitianOperator) -> HermitianOperator:
     """Spectral function calculus: f applied to the eigenvalues of ``op``.
 
     ``f`` may be a callable on reals or a mapping from (approximate)
-    eigenvalues to values; mapping keys are matched within 1e-6.  Exact
-    duplicate eigenvalues share a cell; distinct ones are kept apart.
+    eigenvalues to values; mapping keys are matched within 1e-6.  ``f`` is
+    evaluated at each computed eigenvalue, so distinct eigenvalues are never
+    merged, however close.
     """
-    cells, v, cell = _clustered_eigensystem(op, exact=True)
+    w, v = _fixed_phase_eigh(op.matrix)
     ys = []
-    for c in cells:
-        x = c.mean
+    for x in w.tolist():
         try:
             ys.append(_evaluate(f, x))
         except DomainError:
             raise
         except Exception as exc:
             raise DomainError(f"function undefined at eigenvalue {x!r}: {exc}") from exc
-    return HermitianOperator(_spectral_sum(v, cell, ys))
+    return HermitianOperator(_spectral_sum(v, np.arange(len(ys)), ys))
 
 
 def _evaluate(f, x: float) -> float:
@@ -439,7 +446,7 @@ def _cell_label_value(label) -> float:
 
 def spectral_measure(state, pvm: PVM) -> Distribution:
     """Measurement law of a PVM in a state: prob(cell) = <P> in the state,
-    computed as Re tr(W* rho W) from the cell's isometry W.
+    by the Born rule of :func:`_born_law`.
 
     The output support carries each cell's representative value (the cell
     minimum; equal to the eigenvalue itself for singleton cells).
@@ -447,13 +454,7 @@ def spectral_measure(state, pvm: PVM) -> Distribution:
     rho = _as_density(state)
     if rho.dim != pvm.dim:
         raise DimensionError(f"state dim {rho.dim} != PVM dim {pvm.dim}")
-    pairs = []
-    for label, p in zip(pvm.labels, _cell_weights(rho.matrix, pvm.stack, pvm.cell, len(pvm)).tolist()):
-        if p < -1e-10:
-            raise ValueError(f"cell {label!r}: negative probability {p!r}")
-        pairs.append((_cell_label_value(label), max(p, 0.0)))
-    pairs.sort(key=lambda t: t[0])
-    return Distribution([x for x, _ in pairs], [p for _, p in pairs])
+    return _born_law(rho.matrix, pvm.stack, pvm.cell, pvm.labels)
 
 
 def trace_expectation(rho: DensityOperator, op: HermitianOperator) -> float:
@@ -486,9 +487,9 @@ def _joint_blocks(a: HermitianOperator, b: HermitianOperator) -> tuple[list, np.
         raise NonCommutingError(
             f"operators do not commute: ||[A,B]|| = {c:.3e} > {COMM_TOL:.1e}"
         )
-    cells_b = _clustered_eigensystem(b)[0]
-    scale_b = max(1.0, max(abs(v) for cell in cells_b for v in cell.values))
-    assign_tol = max(1e-6 * scale_b, 10.0 * COMM_TOL)
+    cells_b, _, cell_b = _clustered_eigensystem(b)
+    eigs_b = np.concatenate([cell.values for cell in cells_b])  # ascending
+    assign_tol = max(1e-6 * max(1.0, float(np.abs(eigs_b).max())), 10.0 * COMM_TOL)
 
     labels, isos = [], []
     cells_a, va, cell_of = _clustered_eigensystem(a)
@@ -496,20 +497,18 @@ def _joint_blocks(a: HermitianOperator, b: HermitianOperator) -> tuple[list, np.
         iso_a = va[:, cell_of == k]
         restricted = iso_a.conj().T @ b.matrix @ iso_a
         w, v = _fixed_phase_eigh((restricted + restricted.conj().T) / 2)
-        # bucket the restricted eigenvalues by the nearest cell of b
-        buckets: dict[int, list[int]] = {}
-        for col, beta in enumerate(w):
-            gaps = [min(abs(beta - val) for val in cell.values) for cell in cells_b]
-            j = int(np.argmin(gaps))
-            if gaps[j] > assign_tol:
-                raise NonCommutingError(
-                    f"restricted eigenvalue {beta!r} matches no cell of the second "
-                    f"operator within {assign_tol:.1e}"
-                )
-            buckets.setdefault(j, []).append(col)
-        for j in sorted(buckets):
+        # each restricted eigenvalue joins the cell of its nearest eigenvalue
+        # of b; cells ascend, so the first nearest lies in the first nearest cell
+        gaps = np.abs(w[:, None] - eigs_b[None, :])
+        if (far := gaps.min(axis=1) > assign_tol).any():
+            raise NonCommutingError(
+                f"restricted eigenvalue {float(w[far.argmax()])!r} matches no cell of the second "
+                f"operator within {assign_tol:.1e}"
+            )
+        js = cell_b[gaps.argmin(axis=1)]
+        for j in np.unique(js).tolist():
             labels.append((cell_a, cells_b[j]))
-            isos.append(iso_a @ v[:, buckets[j]])
+            isos.append(iso_a @ v[:, js == j])
     return labels, np.hstack(isos), np.repeat(np.arange(len(isos)), [w.shape[1] for w in isos])
 
 
@@ -673,7 +672,7 @@ def chsh_beta(a1, a2, b1, b2, omega) -> float:
     """The CHSH functional Re Tr(omega (a1(b1+b2) + a2(b1-b2))).
 
     Requires ||a_i||, ||b_j|| <= 1 (within 1e-9) and every a_i to commute
-    with every b_j (commutator norm <= 1e-9); violations raise
+    with every b_j (commutator norm <= ``COMM_TOL``); violations raise
     :class:`HypothesisError`.
     """
     ops = [matrix_of(x) for x in (a1, a2, b1, b2)]
@@ -687,8 +686,8 @@ def chsh_beta(a1, a2, b1, b2, omega) -> float:
             raise HypothesisError(f"||{name}|| = {nrm!r} exceeds 1")
     for i in (0, 1):
         for j in (2, 3):
-            c = operator_norm(ops[i] @ ops[j] - ops[j] @ ops[i])
-            if c > 1e-9:
+            c = commutator_norm(ops[i], ops[j])
+            if c > COMM_TOL:
                 raise HypothesisError(
                     f"[{names[i]},{names[j]}] has norm {c:.3e}; the two sides must commute"
                 )

@@ -86,6 +86,10 @@ class TestDistribution:
         assert d.probs == (0.25, 0.25, 0.5)
         assert all(type(x) is float for x in d.support + d.probs)
 
+    def test_uniform_on_no_values_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            Distribution.uniform([])
+
 
 class TestRandomVariable:
     def test_lookup_and_domain_error(self):
@@ -185,6 +189,10 @@ class TestEntropy:
 
     def test_delta_has_zero_entropy(self):
         assert shannon_entropy(Distribution.delta(4.0)) == 0.0
+
+    def test_delta_entropy_is_positive_zero(self):
+        h = shannon_entropy(Distribution.delta(1.0))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_uniform_maximises(self):
         d = Distribution.uniform(range(5))

@@ -65,6 +65,10 @@ class TestSpectrumPartition:
         with pytest.raises(PartitionError):
             SpectrumPartition([])
 
+    def test_cells_of_another_type_rejected(self):
+        with pytest.raises(PartitionError, match="partition cells must be SpectralCell, got float"):
+            SpectrumPartition([1.0, 2.0])
+
     def test_from_thresholds(self):
         p = SpectrumPartition.from_thresholds([1.0, 2.0, 3.0, 4.0], [2.5])
         assert [c.values for c in p.cells] == [(1.0, 2.0), (3.0, 4.0)]
@@ -141,6 +145,11 @@ class TestEpsilonEntropy:
             [v for c in spectral_pvm(op).labels for v in c.values]
         )
         assert epsilon_entropy(random_density(rng, 4), op, part) == 0.0
+
+    def test_point_mass_is_positive_zero(self):
+        op = HermitianOperator(np.diag([1.0, 2.0, 3.0]))
+        h = epsilon_entropy(PureState([0.0, 1.0, 0.0]), op, singleton_partition(op))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_bounded_by_log_cell_count(self):
         rng = np.random.default_rng(51)

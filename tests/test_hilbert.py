@@ -314,6 +314,12 @@ class TestApplyFunction:
         step = apply_function(lambda x: 0.0 if x <= 1.0 else 1.0, op)
         assert np.allclose(step.matrix, np.diag([0.0, 1.0, 1.0]), rtol=0.0, atol=1e-12)
 
+    def test_identity_returns_each_eigenvalue_exactly(self):
+        # f is evaluated at each eigenvalue, not at the mean of equal ones
+        vals = [0.1, 0.1, 0.1, 2.0]
+        out = apply_function(lambda x: x, HermitianOperator(np.diag(vals)))
+        assert np.diag(out.matrix).real.tolist() == vals
+
     def test_result_commutes_with_argument(self):
         rng = np.random.default_rng(10)
         op = random_hermitian(rng, 4)
@@ -375,9 +381,27 @@ class TestSpectralMeasure:
         part = SpectrumPartition.singletons([0.0, 1.0])
         rho = DensityOperator(np.diag([-4e-13, -4e-13, 1 + 8e-13]))
         assert partition_probabilities(rho, self._RANK_TWO, part).prob_of(0.0) == 0.0
-        # clamped to 0, a -1.8e-10 weight leaves a mass the law's check rejects
-        with pytest.raises(ValueError):
+        # a weight below -DENSITY_TOL is no rounding: the law names its cell
+        with pytest.raises(ValueError) as err:
             partition_probabilities(self._SLIGHTLY_NEGATIVE, self._RANK_TWO, part)
+        assert str(err.value) == "cell SpectralCell(values=(0.0,)): negative probability -1.8e-10"
+
+    def test_epsilon_entropy_names_a_negative_cell(self):
+        op = HermitianOperator(np.diag([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError) as err:
+            epsilon_entropy(self._SLIGHTLY_NEGATIVE, op, SpectrumPartition.singletons([0.0, 1.0]))
+        assert str(err.value) == "cell SpectralCell(values=(0.0,)): negative probability -1.8e-10"
+
+    def test_every_accepted_state_has_a_law(self):
+        # DensityOperator accepts an eigenvalue down to -DENSITY_TOL; the
+        # clamped weight leaves a mass the law renormalises
+        rho = DensityOperator(np.diag([-5e-11, 1 + 5e-11]))
+        op = HermitianOperator(np.diag([0.0, 1.0]))
+        part = SpectrumPartition.singletons([0.0, 1.0])
+        for law in (spectral_measure(rho, spectral_pvm(op)), partition_probabilities(rho, spectral_pvm(op), part)):
+            assert (law.support, law.probs) == ((0.0, 1.0), (0.0, 1.0))
+        h = epsilon_entropy(rho, op, part)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
 class TestCommutator:
@@ -431,6 +455,18 @@ class TestJointPVM:
         a = HermitianOperator(np.diag([0.0, 1.0]))
         with pytest.raises(NonCommutingError):
             joint_pvm(a, HermitianOperator(PAULI_X))
+
+    def test_unmatched_restricted_eigenvalue_is_named_as_a_float(self):
+        # ||[A, B]|| = 8e-10 passes COMM_TOL, but B mixes A's two cells 0 and 2e-8
+        a = HermitianOperator(np.diag([0.0, 2e-8, 1.0]))
+        b = HermitianOperator(np.array([[0.0, 0.04, 0.0], [0.04, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert commutator_norm(a, b) <= 1e-9
+        for build in (joint_pvm, dispersion_free_state, common_refiner):
+            with pytest.raises(NonCommutingError) as err:
+                build(a, b)
+            assert str(err.value) == (
+                "restricted eigenvalue 0.0 matches no cell of the second operator within 1.0e-06"
+            )
 
     def test_non_commuting_error_is_a_hypothesis_error(self):
         a = HermitianOperator(np.diag([0.0, 1.0]))
@@ -631,6 +667,16 @@ class TestCHSH:
         bad_b1 = np.kron(PAULI_X, np.eye(2))  # acts on the same side as a1
         with pytest.raises(HypothesisError):
             chsh_beta(a1, a2, bad_b1, b2, omega)
+
+    def test_cross_commutation_reads_the_shared_tolerance(self, monkeypatch):
+        import ncprob.hilbert as hilbert
+
+        a1, a2, b1, b2, omega = self.tsirelson_fixture()
+        skew = b1 + 1e-9 * np.kron(PAULI_X, np.eye(2))  # ||[a1, skew]|| = 2e-9
+        with pytest.raises(HypothesisError, match=r"\[a1,b1\] has norm 2\.000e-09"):
+            chsh_beta(a1, a2, skew, b2, omega)
+        monkeypatch.setattr(hilbert, "COMM_TOL", 1e-8)
+        assert chsh_beta(a1, a2, skew, b2, omega) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-8)
 
     def test_abelian_side_respects_classical_bound(self):
         rng = np.random.default_rng(40)
