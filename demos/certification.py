@@ -10,8 +10,11 @@ as a cross-check.
 import numpy as np
 
 from ncprob import (
+    Distribution,
     HermitianOperator,
+    ScenarioPair,
     SpectrumPartition,
+    build_pair,
     certify_noncommutativity,
 )
 from ncprob.hilbert import PAULI_X, PAULI_Z, fourier_unitary
@@ -39,10 +42,9 @@ def main():
     print("  -> the pair still fails to commute, but these partitions cannot see it:")
     print("     an inconclusive verdict is not a commutation proof.\n")
 
-    u = fourier_unitary(6)
     vals = np.arange(1.0, 7.0)
-    a = HermitianOperator(np.diag(vals))
-    b = HermitianOperator(u @ np.diag(vals) @ u.conj().T)
+    law = Distribution.uniform(vals)
+    a, b = build_pair(ScenarioPair(law, law, fourier_unitary(6)))
     parts = SpectrumPartition.singletons(vals)
     show("Fourier-conjugate pair, d = 6:",
          certify_noncommutativity(a, b, parts, parts, operator_names=("T_X", "T_Y")))

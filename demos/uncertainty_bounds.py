@@ -15,8 +15,11 @@ import math
 import numpy as np
 
 from ncprob import (
+    Distribution,
     HermitianOperator,
+    ScenarioPair,
     SpectrumPartition,
+    build_pair,
     maassen_uffink_bound,
     min_entropy_sum,
     partovi_bound,
@@ -24,19 +27,11 @@ from ncprob import (
 from ncprob.hilbert import PAULI_X, PAULI_Z, fourier_unitary
 
 
-def fourier_pair(d):
-    u = fourier_unitary(d)
-    vals = np.arange(1.0, d + 1.0)
-    return (
-        HermitianOperator(np.diag(vals)),
-        HermitianOperator(u @ np.diag(vals) @ u.conj().T),
-    )
-
-
 def main():
     print("Fourier-conjugate pairs: the overlap bound equals ln d")
     for d in (2, 3, 4, 6, 8):
-        a, b = fourier_pair(d)
+        law = Distribution.uniform(np.arange(1.0, d + 1.0))
+        a, b = build_pair(ScenarioPair(law, law, fourier_unitary(d)))
         mu = maassen_uffink_bound(a, b)
         print(f"  d={d}:  bound = {mu:.9f}   ln d = {math.log(d):.9f}")
 

@@ -91,7 +91,10 @@ class OverlapCheck:
 
     max_overlap: float
     bound: float
-    satisfied: bool
+
+    @property
+    def satisfied(self) -> bool:
+        return self.max_overlap <= self.bound + 1e-12
 
 
 def verify_overlap_bound(u, target_bound: float) -> OverlapCheck:
@@ -103,9 +106,7 @@ def verify_overlap_bound(u, target_bound: float) -> OverlapCheck:
     if not float(target_bound) >= 0.0:
         raise ValueError(f"target_bound must be >= 0, got {target_bound!r}")
     m = _check_unitary(u)
-    max_overlap = float(np.abs(m).max())
-    bound = float(np.exp(-float(target_bound) / 2.0))
-    return OverlapCheck(max_overlap, bound, max_overlap <= bound + 1e-12)
+    return OverlapCheck(float(np.abs(m).max()), float(np.exp(-float(target_bound) / 2.0)))
 
 
 class TransitionKernel:
@@ -212,7 +213,10 @@ class BornCheck:
     """How far a kernel sits from the Born weights of a unitary."""
 
     max_abs_error: float
-    consistent: bool
+
+    @property
+    def consistent(self) -> bool:
+        return self.max_abs_error <= 1e-9
 
 
 def born_consistency(u, kernel: TransitionKernel) -> BornCheck:
@@ -227,40 +231,31 @@ def born_consistency(u, kernel: TransitionKernel) -> BornCheck:
     weights = np.abs(m) ** 2
     err_alpha = float(np.abs(kernel.alpha - weights).max())
     err_sym = float(np.abs(kernel.alpha_tilde.T - kernel.alpha).max())
-    err = max(err_alpha, err_sym)
-    return BornCheck(err, err <= 1e-9)
+    return BornCheck(max(err_alpha, err_sym))
 
 
 @dataclass(frozen=True, init=False)
 class ContextFamily:
     """Conditioned versions of one space along the level sets of a variable.
 
-    Holds the contexts (as events) and the conditioned spaces, in the
-    level-value order.  The weights P(context) are deliberately absent
-    from the conditioned data: reconstructing the base law from the
-    family alone is impossible without them.
+    Holds the contexts (as events) in the level-value order and reads
+    each conditioned space from the base.  The weights P(context) are
+    deliberately absent from the conditioned data: reconstructing the base
+    law from the family alone is impossible without them.
     """
 
     base: FiniteProbabilitySpace
     contexts: tuple
-    conditioned: tuple
     dropped_levels: tuple
 
-    def __init__(self, base, contexts, conditioned, dropped_levels=()):
-        contexts = tuple(contexts)
-        conditioned = tuple(conditioned)
-        if len(contexts) != len(conditioned):
-            raise ValueError("one conditioned space per context required")
-        for ev, sp in zip(contexts, conditioned):
-            expect = condition(base, ev)
-            if sp.outcomes != expect.outcomes or any(
-                abs(w1 - w2) > 1e-12 for w1, w2 in zip(sp.weights, expect.weights)
-            ):
-                raise ValueError("conditioned spaces must equal condition(base, context)")
+    def __init__(self, base, contexts, *, dropped_levels=()):
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "contexts", contexts)
-        object.__setattr__(self, "conditioned", conditioned)
+        object.__setattr__(self, "contexts", tuple(contexts))
         object.__setattr__(self, "dropped_levels", tuple(dropped_levels))
+
+    @property
+    def conditioned(self) -> tuple:
+        return tuple(condition(self.base, ev) for ev in self.contexts)
 
     def __len__(self) -> int:
         return len(self.contexts)
@@ -281,14 +276,13 @@ def contextual_family(space: FiniteProbabilitySpace, level_variable: RandomVaria
     levels: dict[float, list] = {}
     for o in space.outcomes:
         levels.setdefault(level_variable.values[o], []).append(o)
-    contexts, conditioned, dropped = [], [], []
+    contexts, dropped = [], []
     for z in sorted(levels):
         ev = Event(levels[z])
         if space.prob(ev) == 0.0:
             dropped.append(z)
             continue
         contexts.append(ev)
-        conditioned.append(condition(space, ev))
     if dropped:
         warnings.warn(
             f"dropped zero-probability level sets at {dropped!r} of {level_variable.name}",
@@ -296,4 +290,4 @@ def contextual_family(space: FiniteProbabilitySpace, level_variable: RandomVaria
         )
     if not contexts:
         raise DomainError("every level set has probability zero")
-    return ContextFamily(space, contexts, conditioned, dropped)
+    return ContextFamily(space, contexts, dropped_levels=dropped)

@@ -290,14 +290,13 @@ class MinEntropyResult:
     within 1e-12 of 0.0 ties with 0.0 and reads 0.0, so it never falls
     more than 1e-12 below the true infimum.  ``evaluations`` counts the
     objective's evaluations per restart and ``iterations_per_restart`` the
-    L-BFGS-B iterations; ``iterations`` is their sum.
+    L-BFGS-B iterations; ``restarts`` is their length and ``iterations``
+    their sum.
     """
 
     value: float
     state: PureState
     converged: bool
-    restarts: int
-    iterations: int
     seed: int
     best_restart: int
     evaluations: tuple
@@ -305,6 +304,14 @@ class MinEntropyResult:
 
     def __iter__(self):
         return iter((self.value, self.state))
+
+    @property
+    def restarts(self) -> int:
+        return len(self.evaluations)
+
+    @property
+    def iterations(self) -> int:
+        return sum(self.iterations_per_restart)
 
 
 def _checked(opt: OptimizerConfig | None) -> OptimizerConfig:
@@ -427,8 +434,6 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
         value=0.0 if best_val <= 1e-12 else best_val,
         state=PureState(psi),
         converged=best_ok,
-        restarts=opt.restarts,
-        iterations=sum(iterations),
         seed=opt.seed,
         best_restart=best_k,
         evaluations=tuple(evaluations),
@@ -453,19 +458,10 @@ class EURCertificate:
     partitions: tuple
     maassen_uffink: float
     partovi: float
-    numeric_infimum: float
     optimizer_evidence: MinEntropyResult
     commutator_norm: float
-    threshold: float
-    verdict: str
-    infimum_consistent: bool
 
     def __post_init__(self):
-        if self.verdict not in ("noncommuting", "inconclusive"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        want = "noncommuting" if self.best_analytic > self.threshold else "inconclusive"
-        if self.verdict != want:
-            raise ValueError("verdict inconsistent with analytic bounds")
         if self.numeric_infimum < -1e-9:
             raise ValueError(f"negative entropy infimum {self.numeric_infimum!r}")
 
@@ -476,6 +472,22 @@ class EURCertificate:
     @property
     def best_analytic(self) -> float:
         return max(self.maassen_uffink, self.partovi)
+
+    @property
+    def threshold(self) -> float:
+        return CERTIFICATION_THRESHOLD
+
+    @property
+    def verdict(self) -> str:
+        return "noncommuting" if self.best_analytic > self.threshold else "inconclusive"
+
+    @property
+    def numeric_infimum(self) -> float:
+        return self.optimizer_evidence.value
+
+    @property
+    def infimum_consistent(self) -> bool:
+        return self.numeric_infimum >= self.best_analytic - 1e-4
 
 
 def certify_noncommutativity(
@@ -496,19 +508,11 @@ def certify_noncommutativity(
     """
     pair = _decompose(a, b, eps, delta)
     mu, pv = _overlap_bounds(*pair)
-    numeric = _min_entropy_sum(*pair, _checked(opt))
-    cn = commutator_norm(a, b)
-    best = max(mu, pv)
-    verdict = "noncommuting" if best > CERTIFICATION_THRESHOLD else "inconclusive"
     return EURCertificate(
         operator_names=tuple(operator_names),
         partitions=(eps, delta),
         maassen_uffink=mu,
         partovi=pv,
-        numeric_infimum=numeric.value,
-        optimizer_evidence=numeric,
-        commutator_norm=cn,
-        threshold=CERTIFICATION_THRESHOLD,
-        verdict=verdict,
-        infimum_consistent=numeric.value >= best - 1e-4,
+        optimizer_evidence=_min_entropy_sum(*pair, _checked(opt)),
+        commutator_norm=commutator_norm(a, b),
     )

@@ -180,7 +180,9 @@ class PureState:
     __slots__ = ("vector",)
 
     def __init__(self, vector):
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        v = np.asarray(vector, dtype=complex)
+        if v.ndim != 1:
+            raise ValueError(f"state vector must be 1-d, got shape {v.shape}")
         if v.size == 0 or not np.all(np.isfinite(v)):
             raise ValueError("state vector must be non-empty and finite")
         n = float(np.linalg.norm(v))

@@ -861,7 +861,8 @@ def _write(obj, out: list, indent: int) -> None:
         obj = np.asarray(obj)
     if isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
         # One finiteness check and one -0.0 fold per array, not per entry.
-        a = np.asarray(np.stack((obj.real, obj.imag), axis=-1) if obj.dtype.kind == "c" else obj, dtype=float)
+        with np.errstate(over="ignore"):  # a longdouble past binary64 casts to inf, rejected below
+            a = np.asarray(np.stack((obj.real, obj.imag), axis=-1) if obj.dtype.kind == "c" else obj, dtype=float)
         if not np.isfinite(a).all():
             raise ValueError(f"cannot emit non-finite float {float(a[~np.isfinite(a)][0])!r}")
         a = a + 0.0

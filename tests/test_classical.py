@@ -60,6 +60,16 @@ class TestSpace:
         assert space.prob(Event(())) == 0.0
         assert space.prob(Event(range(1, 9))) == pytest.approx(1.0, abs=1e-15)
 
+    def test_weight_of_reads_the_renormalised_weight(self):
+        eps = 4e-13
+        space = FiniteProbabilitySpace(("a", "b"), (0.5 + eps, 0.5))
+        assert (space.weight_of("a"), space.weight_of("b")) == space.weights
+        assert space.weight_of("a") == pytest.approx((0.5 + eps) / (1.0 + eps), rel=1e-15, abs=0.0)
+        assert space.weight_of("b") == pytest.approx(0.5 / (1.0 + eps), rel=1e-15, abs=0.0)
+        assert space.weight_of("a") != 0.5 + eps
+        with pytest.raises(DomainError, match="'c'"):
+            space.weight_of("c")
+
     def test_event_with_unknown_outcome_rejected(self):
         space = eight_cell_space([1 / 8] * 8)
         with pytest.raises(DomainError):

@@ -25,7 +25,7 @@ from ncprob import (
     maassen_uffink_bound,
     verify_overlap_bound,
 )
-from ncprob.construct import born_map
+from ncprob.construct import BornCheck, ContextFamily, OverlapCheck, born_map
 from ncprob.hilbert import fourier_unitary, hadamard_unitary
 
 UNIT = Distribution.uniform([0.0, 1.0])
@@ -113,6 +113,11 @@ class TestOverlapCheck:
         with pytest.raises(ValueError):
             verify_overlap_bound(np.eye(2), -1.0)
 
+    def test_satisfied_is_read_from_the_overlap(self):
+        assert OverlapCheck(0.5, 0.5).satisfied and not OverlapCheck(0.5, 0.49).satisfied
+        with pytest.raises(TypeError):
+            OverlapCheck(0.5, 0.5, True)
+
 
 class TestBornMap:
     def test_hadamard_spreads_a_point_mass(self):
@@ -160,6 +165,11 @@ class TestTransitionKernel:
         chk = born_consistency(hadamard_unitary(), k)
         assert not chk.consistent
         assert chk.max_abs_error == pytest.approx(0.5, abs=1e-12)
+
+    def test_consistent_is_read_from_the_error(self):
+        assert BornCheck(1e-9).consistent and not BornCheck(2e-9).consistent
+        with pytest.raises(TypeError):
+            BornCheck(0.5, True)
 
     def test_from_joint_never_violates_bayes(self):
         rng = np.random.default_rng(72)
@@ -237,6 +247,14 @@ class TestContextualFamily:
             fam = contextual_family(space, levels)
         assert fam.dropped_levels == (1.0,)
         assert len(fam) == 1
+
+    def test_conditioned_spaces_are_read_from_the_base(self):
+        die = FiniteProbabilitySpace(range(1, 7), [1 / 6] * 6)
+        fam = contextual_family(die, self.parity_of(die))
+        again = ContextFamily(die, fam.contexts)
+        assert again == fam and again.conditioned == fam.conditioned
+        with pytest.raises(TypeError):
+            ContextFamily(die, fam.contexts, fam.conditioned)
 
     def test_variable_must_cover_the_space(self):
         space = FiniteProbabilitySpace((1, 2), (0.5, 0.5))

@@ -1,5 +1,6 @@
 """Spectrum partitions, entropic bounds, the entropy-sum optimizer, certification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from helpers import (
 )
 from ncprob import (
     Distribution,
-    EURCertificate,
     HermitianOperator,
     OptimizerConfig,
     PartitionError,
@@ -439,6 +439,14 @@ class TestMinEntropySum:
         assert np.array_equal(r1.state.vector, r2.state.vector)
         assert r1.seed == 99 and r1.restarts == 3
 
+    def test_counts_are_read_from_the_restarts(self):
+        res = min_entropy_sum(*pauli_pair(), PM, PM, OptimizerConfig(restarts=3, max_iters=60))
+        assert res.restarts == len(res.evaluations) == 3
+        assert res.iterations == sum(res.iterations_per_restart)
+        for removed in ("restarts", "iterations"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(res, **{removed: 0})
+
     def test_never_undercuts_analytic_bounds(self):
         rng = np.random.default_rng(61)
         cfg = OptimizerConfig(restarts=5, max_iters=200)
@@ -753,19 +761,10 @@ class TestCertification:
         with pytest.raises(ValueError, match="restarts"):
             certify_noncommutativity(a, b, part, part, bad)
 
-    def test_inconsistent_verdict_rejected(self):
+    def test_verdict_is_read_from_the_bounds(self):
         a, b = pauli_pair()
-        good = certify_noncommutativity(a, b, PM, PM, OptimizerConfig(restarts=2))
-        with pytest.raises(ValueError):
-            EURCertificate(
-                operator_names=good.operator_names,
-                partitions=good.partitions,
-                maassen_uffink=good.maassen_uffink,
-                partovi=good.partovi,
-                numeric_infimum=good.numeric_infimum,
-                optimizer_evidence=good.optimizer_evidence,
-                commutator_norm=good.commutator_norm,
-                threshold=good.threshold,
-                verdict="inconclusive",  # contradicts the positive bounds
-                infimum_consistent=good.infimum_consistent,
-            )
+        cert = certify_noncommutativity(a, b, PM, PM, OptimizerConfig(restarts=2))
+        assert cert.verdict == "noncommuting"
+        assert dataclasses.replace(cert, maassen_uffink=0.0, partovi=0.0).verdict == "inconclusive"
+        with pytest.raises(TypeError):
+            dataclasses.replace(cert, verdict="inconclusive")

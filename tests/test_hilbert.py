@@ -84,6 +84,11 @@ class TestWrappers:
         s = PureState([1 / math.sqrt(2), 1 / math.sqrt(2)])
         assert np.trace(s.density().matrix) == pytest.approx(1.0, abs=1e-12)
 
+    def test_pure_state_must_be_1d(self):
+        # a 2 x 2 array of norm 1 is not a 4-dim state
+        with pytest.raises(ValueError, match=r"1-d, got shape \(2, 2\)"):
+            PureState(np.eye(2) / np.sqrt(2))
+
     def test_matrices_are_read_only(self):
         h = HermitianOperator(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError):

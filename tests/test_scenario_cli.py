@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -361,8 +362,10 @@ class TestReportFormat:
         ids=["float", "float32", "real-2d-entry", "complex-2d-imaginary-part", "longdouble-past-binary64"],
     )
     def test_non_finite_value_anywhere_raises(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            dumps_report({"results": [{"result": {"ok": [1.0, 2], "bad": bad}}]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected by name, with no warning on the way
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps_report({"results": [{"result": {"ok": [1.0, 2], "bad": bad}}]})
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL)
