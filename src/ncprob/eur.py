@@ -28,8 +28,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classical import Distribution, shannon_entropy
-from .errors import DimensionError, PartitionError
+from .errors import PartitionError
 from .hilbert import (
+    EIGENVALUE_TOL,
     PVM,
     HermitianOperator,
     PureState,
@@ -37,7 +38,7 @@ from .hilbert import (
     _as_density,
     _born_law,
     _clustered_eigensystem,
-    _eigenvalue_tol,
+    _scaled,
     _with_fixed_phase,
     commutator_norm,
 )
@@ -132,7 +133,7 @@ def _assign_to_partition(
     containing all of its eigenvalues, matched within ``EIGENVALUE_TOL``."""
     values = [u for c in part.cells for u in c.values]
     eigs = [v for c in spectral_cells for v in c.values]
-    tol = _eigenvalue_tol(values + eigs)
+    tol = _scaled(EIGENVALUE_TOL, values + eigs)
     near = np.abs(np.array(values)[None, :] - np.array(eigs)[:, None]) <= tol  # eigenvalue x value
 
     absent = [u for u, hit in zip(values, near.any(axis=0)) if not hit]
@@ -177,9 +178,7 @@ def partition_probabilities(state, pvm: PVM, part: SpectrumPartition) -> Distrib
     cells; the value itself for singleton cells).  Each PVM column's
     Born weight is added into the partition cell its PVM cell falls inside.
     """
-    rho = _as_density(state)
-    if rho.dim != pvm.dim:
-        raise DimensionError(f"state dim {rho.dim} != PVM dim {pvm.dim}")
+    rho = _as_density(state, pvm.dim, "PVM")
     if not all(isinstance(lb, SpectralCell) for lb in pvm.labels):
         raise PartitionError("the PVM must carry spectral-cell labels")
     return _born_law(rho.matrix, pvm.stack, _assign_to_partition(pvm.labels, part)[pvm.cell], part.cells)
@@ -190,9 +189,7 @@ def epsilon_entropy(state, op: HermitianOperator, part: SpectrumPartition) -> fl
 
     Each cell's probability is the sum of <w|rho|w> over the eigenvectors w
     in it, so no d x d projector is formed."""
-    rho = _as_density(state)
-    if rho.dim != op.dim:
-        raise DimensionError(f"state dim {rho.dim} != operator dim {op.dim}")
+    rho = _as_density(state, op.dim, "operator")
     return shannon_entropy(_born_law(rho.matrix, *_partition_isometries(op, part), part.cells))
 
 
@@ -417,7 +414,7 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
             options={"maxiter": opt.max_iters, "ftol": ftol, "gtol": 1e-10},
         )
         iterations.append(int(res.nit))
-        ends.append((objective(res.x)[0], res.x, bool(res.success)))
+        ends.append((float(res.fun), res.x, bool(res.success)))
 
     # End values within 1e-12 relative of the lowest tie, and the lowest
     # restart index wins, so rounding does not pick among restarts that

@@ -20,6 +20,11 @@ Conventions
 * One rule per spectral question: :func:`_hermitian_part` is the Hermitian
   gate, :func:`_clustered_eigensystem` the clustering (``apply_function``
   reads single eigenvalues) and :func:`_born_law` the Born law.
+* One scale rule: every tolerance on an operator's own values (Hermitian
+  and commutation gates, clustering, partition matching, the trace residual)
+  is :func:`_scaled`, tol x max(1, largest |value|): absolute below 1.
+* One state gate: :func:`_as_density` takes a ``DensityOperator`` or a
+  ``PureState`` (``trace_expectation`` too) and checks its dimension.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .errors import (
 )
 
 #: Maximum entrywise deviation from Hermitian symmetry accepted at
-#: construction; the stored matrix is then exactly symmetrised.
+#: construction (:func:`_scaled`); the stored matrix is then exactly symmetrised.
 HERMITIAN_TOL = 1e-10
 #: Tolerance for the PVM axioms: ||S* S - I|| <= this for the stacked cell
 #: isometries S, which covers idempotency, orthogonality and completeness.
@@ -49,11 +54,11 @@ PVM_TOL = 1e-10
 DENSITY_TOL = 1e-10
 #: Pure states: norm within this of 1.
 UNIT_TOL = 1e-12
-#: Commutator-norm tolerance for routines requiring commuting input.
+#: Commutator-norm tolerance for commuting input, scaled by max|A| max|B|.
 COMM_TOL = 1e-9
 #: Two computed eigenvalues are one value when they differ by at most this
 #: times max(1, largest |eigenvalue|): the rule for spectral clustering and
-#: for matching partition values to a spectrum (see :func:`_eigenvalue_tol`).
+#: for matching partition values to a spectrum (see :func:`_scaled`).
 EIGENVALUE_TOL = 1e-8
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -116,10 +121,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled(tol: float, values) -> float:
+    """``tol`` relative to the largest |value| in ``values``, absolute below 1."""
+    return tol * max(1.0, float(np.abs(values).max()))
+
+
 def _hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
-    """(A + A*)/2, if max|A - A*| <= ``HERMITIAN_TOL``; ``what`` names A."""
+    """(A + A*)/2, if max|A - A*| <= ``HERMITIAN_TOL`` scaled by max|A|; ``what`` names A."""
     dev = float(np.abs(m - m.conj().T).max())
-    if dev > HERMITIAN_TOL:
+    if dev > _scaled(HERMITIAN_TOL, m):
         raise ValueError(f"{what} not Hermitian: max|A - A*| = {dev:.3e}")
     return (m + m.conj().T) / 2
 
@@ -128,7 +138,7 @@ class HermitianOperator:
     """A Hermitian matrix, symmetrised and frozen at construction.
 
     Input may deviate from exact symmetry by at most ``HERMITIAN_TOL``
-    entrywise; the stored matrix is (A + A*)/2.
+    entrywise, scaled by :func:`_scaled`; the stored matrix is (A + A*)/2.
     """
 
     __slots__ = ("matrix",)
@@ -324,20 +334,14 @@ def _fixed_phase_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _eigenvalue_tol(values) -> float:
-    """The gap at or below which two of ``values`` are one eigenvalue:
-    ``EIGENVALUE_TOL`` relative to the largest |value|, absolute below 1."""
-    return EIGENVALUE_TOL * max(1.0, float(np.abs(values).max()))
-
-
 def _clustered_eigensystem(op: HermitianOperator) -> tuple[tuple[SpectralCell, ...], np.ndarray, np.ndarray]:
     """(cells, V, cell): the spectral cells in ascending order, the
     eigenvector matrix V and, per column of V, the index of its cell.
 
     Ascending eigenvalues form one cell while each successive gap is within
-    :func:`_eigenvalue_tol`."""
+    ``EIGENVALUE_TOL``, scaled by :func:`_scaled`."""
     w, v = _fixed_phase_eigh(op.matrix)
-    splits = np.diff(w) > _eigenvalue_tol(w)
+    splits = np.diff(w) > _scaled(EIGENVALUE_TOL, w)
     cells = tuple(SpectralCell(g) for g in np.split(w, np.flatnonzero(splits) + 1))
     return cells, v, np.concatenate(([0], np.cumsum(splits)))
 
@@ -430,12 +434,15 @@ def _evaluate(f, x: float) -> float:
     return float(f(x))
 
 
-def _as_density(state) -> DensityOperator:
-    if isinstance(state, DensityOperator):
-        return state
+def _as_density(state, dim: int, what: str) -> DensityOperator:
+    """The state as a ``DensityOperator`` of dimension ``dim``, the dimension of ``what``."""
     if isinstance(state, PureState):
-        return state.density()
-    raise TypeError(f"expected DensityOperator or PureState, got {type(state).__name__}")
+        state = state.density()
+    elif not isinstance(state, DensityOperator):
+        raise TypeError(f"expected DensityOperator or PureState, got {type(state).__name__}")
+    if state.dim != dim:
+        raise DimensionError(f"state dim {state.dim} != {what} dim {dim}")
+    return state
 
 
 def _cell_label_value(label) -> float:
@@ -453,24 +460,26 @@ def spectral_measure(state, pvm: PVM) -> Distribution:
     The output support carries each cell's representative value (the cell
     minimum; equal to the eigenvalue itself for singleton cells).
     """
-    rho = _as_density(state)
-    if rho.dim != pvm.dim:
-        raise DimensionError(f"state dim {rho.dim} != PVM dim {pvm.dim}")
+    rho = _as_density(state, pvm.dim, "PVM")
     return _born_law(rho.matrix, pvm.stack, pvm.cell, pvm.labels)
 
 
-def trace_expectation(rho: DensityOperator, op: HermitianOperator) -> float:
-    """Tr(rho A), asserted real: the imaginary residual must be <= 1e-10."""
-    if rho.dim != op.dim:
-        raise DimensionError(f"state dim {rho.dim} != operator dim {op.dim}")
+def trace_expectation(state, op: HermitianOperator) -> float:
+    """Tr(rho A) in a state, asserted real: |Im| <= ``HERMITIAN_TOL`` scaled by max|A|."""
+    rho = _as_density(state, op.dim, "operator")
     val = complex(np.trace(rho.matrix @ op.matrix))
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > _scaled(HERMITIAN_TOL, op.matrix):
         raise ValueError(f"trace expectation has imaginary residual {val.imag:.3e}")
     return val.real
 
 
 # ---------------------------------------------------------------------------
 # joint measures for commuting pairs
+
+
+def _commutator_gate(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """(||[A,B]||, its tolerance): ``COMM_TOL`` scaled by max|A| max|B|."""
+    return commutator_norm(a, b), _scaled(COMM_TOL, np.abs(a).max() * np.abs(b).max())
 
 
 def _joint_blocks(a: HermitianOperator, b: HermitianOperator) -> tuple[list, np.ndarray, np.ndarray]:
@@ -484,14 +493,12 @@ def _joint_blocks(a: HermitianOperator, b: HermitianOperator) -> tuple[list, np.
     """
     if a.dim != b.dim:
         raise DimensionError(f"operator dims differ: {a.dim} vs {b.dim}")
-    c = commutator_norm(a, b)
-    if c > COMM_TOL:
-        raise NonCommutingError(
-            f"operators do not commute: ||[A,B]|| = {c:.3e} > {COMM_TOL:.1e}"
-        )
+    c, tol = _commutator_gate(a.matrix, b.matrix)
+    if c > tol:
+        raise NonCommutingError(f"operators do not commute: ||[A,B]|| = {c:.3e} > {tol:.1e}")
     cells_b, _, cell_b = _clustered_eigensystem(b)
     eigs_b = np.concatenate([cell.values for cell in cells_b])  # ascending
-    assign_tol = max(1e-6 * max(1.0, float(np.abs(eigs_b).max())), 10.0 * COMM_TOL)
+    assign_tol = _scaled(1e-6, eigs_b)
 
     labels, isos = [], []
     cells_a, va, cell_of = _clustered_eigensystem(a)
@@ -522,7 +529,7 @@ def joint_pvm(a: HermitianOperator, b: HermitianOperator) -> PVM:
     of the marginal projectors, and summing over the second index
     recovers the first operator's spectral projector exactly.
 
-    Raises :class:`NonCommutingError` when ||[A,B]|| > ``COMM_TOL``.
+    Raises :class:`NonCommutingError` when ||[A,B]|| > ``COMM_TOL`` x max(1, max|A| max|B|).
     """
     return PVM._from_stack(*_joint_blocks(a, b))
 
@@ -584,11 +591,11 @@ class GNSRepresentation:
 
     def represent(self, element) -> np.ndarray:
         """Representation matrix of an arbitrary algebra element, which must
-        lie in the span of the input basis (residual <= 1e-8 relative)."""
+        lie in the span of the input basis (relative residual <= ``GNS_SPAN_TOL``)."""
         m = matrix_of(element)
         vec = m.reshape(-1)
         resid = float(np.linalg.norm(vec @ self._flat_pinv @ self._flat - vec))
-        if resid > 1e-8 * max(1.0, float(np.linalg.norm(vec))):
+        if resid > _scaled(GNS_SPAN_TOL, np.linalg.norm(vec)):
             raise AlgebraError(f"element lies outside the algebra span (residual {resid:.3e})")
         return self._pi(m)
 
@@ -674,25 +681,22 @@ def chsh_beta(a1, a2, b1, b2, omega) -> float:
     """The CHSH functional Re Tr(omega (a1(b1+b2) + a2(b1-b2))).
 
     Requires ||a_i||, ||b_j|| <= 1 (within 1e-9) and every a_i to commute
-    with every b_j (commutator norm <= ``COMM_TOL``); violations raise
-    :class:`HypothesisError`.
+    with every b_j (the commutation gate of :func:`joint_pvm`); violations
+    raise :class:`HypothesisError`.
     """
     ops = [matrix_of(x) for x in (a1, a2, b1, b2)]
     names = ("a1", "a2", "b1", "b2")
-    rho = _as_density(omega)
+    rho = omega
     for name, m in zip(names, ops):
-        if m.shape[0] != rho.dim:
-            raise DimensionError(f"state dim {rho.dim} != {name} dim {m.shape[0]}")
+        rho = _as_density(rho, m.shape[0], name)  # converts a PureState once
         nrm = operator_norm(m)
         if nrm > 1.0 + 1e-9:
             raise HypothesisError(f"||{name}|| = {nrm!r} exceeds 1")
     for i in (0, 1):
         for j in (2, 3):
-            c = commutator_norm(ops[i], ops[j])
-            if c > COMM_TOL:
-                raise HypothesisError(
-                    f"[{names[i]},{names[j]}] has norm {c:.3e}; the two sides must commute"
-                )
+            c, tol = _commutator_gate(ops[i], ops[j])
+            if c > tol:
+                raise HypothesisError(f"[{names[i]},{names[j]}] has norm {c:.3e}; the two sides must commute")
     ma1, ma2, mb1, mb2 = ops
     functional = ma1 @ (mb1 + mb2) + ma2 @ (mb1 - mb2)
     return float(np.trace(rho.matrix @ functional).real)
@@ -700,9 +704,7 @@ def chsh_beta(a1, a2, b1, b2, omega) -> float:
 
 def dispersion(omega, op: HermitianOperator) -> float:
     """Variance of an observable in a state: <(A - <A>)^2>."""
-    rho = _as_density(omega)
-    if rho.dim != op.dim:
-        raise DimensionError(f"state dim {rho.dim} != operator dim {op.dim}")
+    rho = _as_density(omega, op.dim, "operator")
     m = float(np.trace(rho.matrix @ op.matrix).real)
     shifted = op.matrix - m * np.eye(op.dim)
     return float(np.trace(rho.matrix @ shifted @ shifted).real)

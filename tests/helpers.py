@@ -112,6 +112,7 @@ class MinimizeCall:
     fun_calls: int = 0
     nfev: int = -1
     nit: int = -1
+    end_value: float = float("nan")
 
 
 class MinimizeSpy:
@@ -133,7 +134,7 @@ class MinimizeSpy:
             return fun(z)
 
         res = self.real(counted, x0, **kwargs)
-        call.nfev, call.nit = int(res.nfev), int(res.nit)
+        call.nfev, call.nit, call.end_value = int(res.nfev), int(res.nit), float(res.fun)
         return res
 
     @property

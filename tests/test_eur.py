@@ -669,6 +669,15 @@ class TestOptimizerCallContract:
             )
         assert not hasattr(ncprob_eur, "minimize")
 
+    def test_the_reported_value_is_the_best_restarts_end_value(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
+        part_a, part_b = singleton_partition(a), singleton_partition(b)
+        spy = MinimizeSpy(monkeypatch)
+        res = min_entropy_sum(a, b, part_a, part_b, OptimizerConfig(restarts=6, max_iters=60))
+        assert res.value == spy.calls[res.best_restart].end_value
+        assert res.evaluations == tuple(c.nfev for c in spy.calls)
+
 
 class TestCertification:
     def test_pauli_fine_partitions_certified(self):

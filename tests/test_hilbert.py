@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     conjugated_diagonal_pair,
+    fourier_pair,
     random_density,
     random_hermitian,
     random_unitary,
@@ -44,7 +45,9 @@ from ncprob import (
     trace_expectation,
 )
 from ncprob.hilbert import (
+    COMM_TOL,
     GNS_NULL_TOL,
+    HERMITIAN_TOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -71,6 +74,24 @@ class TestWrappers:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
+
+    # entries <= 1: the gate is HERMITIAN_TOL absolute; beyond 1 it scales with max|A|
+    @pytest.mark.parametrize("top", [1.0, 1e6])
+    def test_hermitian_gate_on_both_sides_of_its_threshold(self, top):
+        def skewed(dev):
+            return np.array([[top, 0.5], [0.5 + dev, 0.25]])
+
+        assert HermitianOperator(skewed(0.9 * HERMITIAN_TOL * top)).matrix[0, 0] == top
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max\|A - A\*\| = 1\.1"):
+            HermitianOperator(skewed(1.1 * HERMITIAN_TOL * top))
+
+    def test_density_gate_on_both_sides_of_its_threshold(self):
+        def skewed(dev):
+            return np.array([[0.5, 0.25], [0.25 + dev, 0.5]])
+
+        DensityOperator(skewed(0.9 * HERMITIAN_TOL))
+        with pytest.raises(ValueError, match="density matrix not Hermitian"):
+            DensityOperator(skewed(1.1 * HERMITIAN_TOL))
 
     def test_density_requires_unit_trace_and_positivity(self):
         with pytest.raises(ValueError):
@@ -126,6 +147,15 @@ class TestPVMValidation:
         skew = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="cell 'skew': projector not Hermitian"):
             PVM([("skew", skew), ("rest", np.eye(2) - skew)])
+
+    def test_projector_gate_on_both_sides_of_its_threshold(self):
+        def cells(dev):
+            skew = np.array([[1.0, 0.0], [dev, 0.0]])
+            return [("skew", skew), ("rest", np.diag([0.0, 1.0]))]
+
+        assert len(PVM(cells(0.9 * HERMITIAN_TOL))) == 2
+        with pytest.raises(ValueError, match="cell 'skew': projector not Hermitian"):
+            PVM(cells(1.1 * HERMITIAN_TOL))
 
     def test_rejects_empty_family(self):
         with pytest.raises(ValueError, match="at least one cell"):
@@ -570,6 +600,12 @@ class TestGNS:
         with pytest.raises(AlgebraError):
             gns_construct([np.eye(2), raiser], DensityOperator(np.eye(2) / 2))
 
+    def test_represent_rejects_an_element_outside_the_span(self):
+        rep = gns_construct([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], DensityOperator(np.eye(2) / 2))
+        assert np.allclose(rep.represent(np.diag([3e8, -1e8])), np.diag([3e8, -1e8]))
+        with pytest.raises(AlgebraError, match=r"element lies outside the algebra span \(residual 1\.414e\+00\)"):
+            rep.represent(PAULI_X)
+
     def test_basis_without_identity_rejected(self):
         e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
         e10 = e01.T.copy()
@@ -683,6 +719,14 @@ class TestCHSH:
         monkeypatch.setattr(hilbert, "COMM_TOL", 1e-8)
         assert chsh_beta(a1, a2, skew, b2, omega) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-8)
 
+    def test_cross_commutation_on_both_sides_of_its_threshold(self):
+        # ||[Z, Z + e X]|| = 2e, and every entry is at most 1
+        state = basis_state(2, 0)
+        near = lambda c: PAULI_Z + (c / 2) * PAULI_X
+        assert chsh_beta(PAULI_Z, PAULI_Z, near(0.9 * COMM_TOL), PAULI_Z, state) == pytest.approx(2.0)
+        with pytest.raises(HypothesisError, match=r"\[a1,b1\] has norm 1\.100e-09"):
+            chsh_beta(PAULI_Z, PAULI_Z, near(1.1 * COMM_TOL), PAULI_Z, state)
+
     def test_abelian_side_respects_classical_bound(self):
         rng = np.random.default_rng(40)
         for _ in range(50):
@@ -734,14 +778,71 @@ _PART3 = SpectrumPartition.singletons([-1.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, what",
     [
-        lambda s: partition_probabilities(s, spectral_pvm(_OP3), _PART3),
-        lambda s: epsilon_entropy(s, _OP3, _PART3),
-        lambda s: chsh_beta(_OP3, _OP3, _OP3, _OP3, s),
+        (lambda s: spectral_measure(s, spectral_pvm(_OP3)), "PVM"),
+        (lambda s: partition_probabilities(s, spectral_pvm(_OP3), _PART3), "PVM"),
+        (lambda s: epsilon_entropy(s, _OP3, _PART3), "operator"),
+        (lambda s: trace_expectation(s, _OP3), "operator"),
+        (lambda s: chsh_beta(_OP3, _OP3, _OP3, _OP3, s), "a1"),
+        (lambda s: dispersion(s, _OP3), "operator"),
     ],
-    ids=["partition_probabilities", "epsilon_entropy", "chsh_beta"],
+    ids=["spectral_measure", "partition_probabilities", "epsilon_entropy", "trace_expectation", "chsh_beta", "dispersion"],
 )
-def test_state_of_another_dimension_is_a_dimension_error(call):
-    with pytest.raises(DimensionError, match=r"state dim 2 != \w+ dim 3"):
-        call(basis_state(2, 0))
+@pytest.mark.parametrize("state", [basis_state(2, 0), basis_state(2, 0).density()], ids=["pure", "density"])
+def test_state_of_another_dimension_is_a_dimension_error(call, what, state):
+    with pytest.raises(DimensionError, match=rf"^state dim 2 != {what} dim 3$"):
+        call(state)
+
+
+def test_a_state_that_is_neither_pure_nor_density_is_a_type_error():
+    with pytest.raises(TypeError, match="expected DensityOperator or PureState, got ndarray"):
+        trace_expectation(np.eye(3) / 3, _OP3)
+
+
+class TestScaleRule:
+    """Tolerances on an operator's own values scale with its largest value,
+    so rounding that grows with the supports fails no check."""
+
+    @staticmethod
+    def reversed_pair(scale):
+        # diag(1..4) and diag(4..1) in one Haar basis: they commute exactly
+        u = random_unitary(np.random.default_rng(0), 4)
+        a = HermitianOperator(u @ np.diag(scale * np.arange(1.0, 5.0)) @ u.conj().T)
+        b = HermitianOperator(u @ np.diag(scale * np.arange(4.0, 0.0, -1.0)) @ u.conj().T)
+        return a, b
+
+    @pytest.mark.parametrize("scale", [1e3, 1e7])
+    def test_commuting_pair_at_scale_has_a_joint_measure(self, scale):
+        a, b = self.reversed_pair(scale)
+        pvm = joint_pvm(a, b)
+        pairs = np.array([(la.representative, lb.representative) for la, lb in pvm.labels]) / scale
+        assert np.abs(pairs - [(1, 4), (2, 3), (3, 2), (4, 1)]).max() <= 1e-9
+        psi = dispersion_free_state(a, b)
+        assert dispersion(psi, a) <= 1e-9 * scale**2
+        c, f_a, f_b = common_refiner(a, b)
+        for f, op in ((f_a, a), (f_b, b)):
+            assert operator_norm(apply_function(f, c).matrix - op.matrix) <= 1e-9 * scale
+
+    def test_non_commuting_pair_at_scale_is_still_rejected(self):
+        a = HermitianOperator(1e7 * PAULI_Z)
+        with pytest.raises(NonCommutingError, match=r"\|\|\[A,B\]\|\| = 2\.000e\+14 > 1\.0e\+05"):
+            joint_pvm(a, HermitianOperator(1e7 * PAULI_X))
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_apply_function_scales_a_constructed_operator(self, d):
+        _, t_y = fourier_pair(d)
+        got = apply_function(lambda x: 1e6 * x, t_y)
+        assert operator_norm(got.matrix - 1e6 * t_y.matrix) <= 1e-9 * 1e6 * d
+
+    def test_trace_expectation_at_operator_scale_1e8(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            dim = int(rng.integers(2, 6))
+            rho, op = random_density(rng, dim), random_hermitian(rng, dim, scale=1e8)
+            assert trace_expectation(rho, op) == pytest.approx(np.trace(rho.matrix @ op.matrix).real, rel=1e-12)
+
+    def test_trace_expectation_takes_a_pure_state(self):
+        op = HermitianOperator(np.array([[1.0, 2.0], [2.0, -1.0]]))
+        # <psi|A|psi> = 0.36 + 2 * 2 * 0.48 - 0.64
+        assert trace_expectation(PureState([0.6, 0.8]), op) == pytest.approx(1.64, abs=1e-15)

@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ncprob
-from helpers import conjugated_diagonal_pair
+from helpers import conjugated_diagonal_pair, random_unitary
 from ncprob import joint_pvm, spectral_pvm
 from ncprob import scenario as scenario_module
 from ncprob.cli import main
 from ncprob.errors import ScenarioError
+from ncprob.hilbert import EIGENVALUE_TOL
 from ncprob.scenario import (
     MAX_RESTARTS,
     MAX_TRIALS,
@@ -564,6 +565,14 @@ BOUNDARY_CASES = [
     ),
     # a value for an outcome outside the space
     pytest.param("die", _FACE + ("9",), 9, [], "variables.face_value.values", id="variable-value-stray-outcome"),
+    # the cross-field rules of the task table
+    pytest.param("die", ("tasks", 0, "args"), {}, [], "tasks[0].args", id="entropy-neither-argument"),
+    pytest.param("chsh", ("dimension",), 2, [], "tasks[0].args.configuration", id="chsh-dimension-2"),
+    pytest.param(
+        "interference", ("distributions", "balanced"), {"support": [1, 2, 3], "probs": [0.25, 0.25, 0.5]}, [],
+        "tasks[0].args.mu_yc", id="interference-law-of-3-against-2x2",
+    ),
+    pytest.param("die", ("contexts", "even_cell"), [2, 4, 6, 8, 9], [], "tasks[2].args.event", id="lln-context-outside-space"),
 ]
 
 
@@ -600,6 +609,44 @@ class TestInputBoundary:
         assert code == 2
         assert f"scenario error: {field}:" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+
+def _without_kernel(doc):
+    del doc["kernel"]
+
+
+def _entropy_of_both(doc):
+    doc["distributions"] = {"fair": {"support": [1, 2, 3, 4, 5, 6], "probs": [1 / 6] * 6}}
+    doc["tasks"][0]["args"]["distribution"] = "fair"
+
+
+class TestCrossFieldRules:
+    """Each rule a task's check adds past its argument table exits 2 with
+    its own message and field."""
+
+    @pytest.mark.parametrize(
+        "name, edit, line",
+        [
+            ("die", _entropy_of_both, "tasks[0].args: exactly one of 'distribution' or 'variable' is required"),
+            ("die", lambda doc: doc["tasks"][0].update(args={}),
+             "tasks[0].args: exactly one of 'distribution' or 'variable' is required"),
+            ("chsh", lambda doc: doc.update(dimension=2),
+             "tasks[0].args.configuration: the tsirelson configuration lives on dimension 4, scenario has 2"),
+            ("interference", _without_kernel, "tasks[0].args: task requires a 'kernel' section"),
+            ("interference", lambda doc: doc["distributions"].update(balanced={"support": [1, 2, 3], "probs": [0.25, 0.25, 0.5]}),
+             "tasks[0].args.mu_yc: distribution 'balanced' has 3 values; kernel expects 2"),
+            ("die", lambda doc: doc["contexts"].update(even_cell=[2, 4, 6, 8, 9]),
+             "tasks[2].args.event: context 'even_cell' references outcomes [9] outside space 'eight_cells'"),
+        ],
+        ids=["entropy-both", "entropy-neither", "chsh-dimension", "interference-no-kernel", "kernel-shape", "lln-context"],
+    )
+    def test_rule_exits_2_with_its_message(self, tmp_path, capsys, name, edit, line):
+        doc = copy.deepcopy(SHIPPED_DOCS[name])
+        edit(doc)
+        out = tmp_path / "r.json"
+        assert main(["run", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"scenario error: {line}\n"
         assert not out.exists()
 
 
@@ -646,6 +693,108 @@ class TestInputBoundaryFuzz:
                 return
         report, _ = execute_scenario(scenario)
         dumps_report(report)
+
+
+#: The task failures of ROADMAP item 12: support values closer than the
+#: clustering tolerance are one computed eigenvalue, which partitions that
+#: keep them apart cannot be matched to.
+_ITEM_12 = ("matches several partition cells", "straddles partition cells")
+_BOUND_TASKS = ("build_pair", "mu_bound", "partovi_bound", "certify")
+
+
+def _has_near_pair(support) -> bool:
+    """Two support values within twice the clustering tolerance."""
+    return float(np.diff(support).min()) <= 2 * EIGENVALUE_TOL * max(1.0, float(np.abs(support).max()))
+
+
+def _bound_scenario(d, law_x, law_y, cells_x, cells_y, unitary) -> dict:
+    """The four bound tasks on T_X = diag(x) and T_Y = U diag(y) U*."""
+    pair = {"dist_x": "x", "dist_y": "y"}
+    return {
+        "name": "drawn",
+        "dimension": d,
+        "distributions": {"x": law_x, "y": law_y},
+        "unitary": unitary,
+        "partitions": {"eps": cells_x, "delta": cells_y},
+        "optimizer": {"restarts": 2, "max_iters": 60},
+        "tasks": [
+            {"task": task, "args": {**pair, "eps": "eps", "delta": "delta"} if task in ("partovi_bound", "certify") else pair}
+            for task in _BOUND_TASKS
+        ],
+    }
+
+
+@st.composite
+def _bound_scenarios(draw):
+    """Valid bound scenarios: d = 2..5, supports of distinct integers scaled
+    by 1e-3..1e6 (in about 30 % of laws two values 1e-12..1e-9 relative
+    apart), random coarsenings as partitions, and identity, Fourier or Haar
+    unitaries."""
+    d = draw(st.integers(2, 5), label="d")
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6]), label="scale")
+
+    def law_and_cells():
+        support = sorted(scale * k for k in draw(st.lists(st.integers(-50, 50), min_size=d, max_size=d, unique=True)))
+        if draw(st.integers(0, 9)) < 3:
+            k = draw(st.integers(0, d - 2))
+            support[k + 1] = support[k] + draw(st.floats(1e-12, 1e-9)) * max(abs(support[k]), scale)
+        weights = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+        groups = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+        cells = [[v for v, g in zip(support, groups) if g == label] for label in sorted(set(groups))]
+        return {"support": support, "probs": [w / sum(weights) for w in weights]}, cells
+
+    (law_x, cells_x), (law_y, cells_y) = law_and_cells(), law_and_cells()
+    kind = draw(st.sampled_from(["identity", "fourier", "haar"]), label="unitary")
+    if kind == "haar":
+        u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
+        unitary = {"kind": "explicit", "entries": [[[z.real, z.imag] for z in row] for row in u.tolist()]}
+    else:
+        unitary = {"kind": kind}
+    return _bound_scenario(d, law_x, law_y, cells_x, cells_y, unitary)
+
+
+def _failed_tasks(doc) -> list:
+    """The failed task entries of a scenario that validates, or [] when it
+    exits 2 naming a field."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.scenario"
+        path.write_text(json.dumps(doc))
+        try:
+            scenario = load_scenario(path)
+            validate_scenario(scenario)
+        except ScenarioError as exc:
+            assert exc.field, str(exc)
+            return []
+    report, ok = execute_scenario(scenario)
+    failed = [entry for entry in report["results"] if entry["status"] != "ok"]
+    assert ok == (not failed)
+    return failed
+
+
+class TestValidatedScenarioRuns:
+    """A scenario that validates runs every task: the tolerances on an
+    operator's values scale with its supports (ROADMAP item 16)."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(doc=_bound_scenarios())
+    def test_a_valid_bound_scenario_runs_every_task(self, doc):
+        near = any(_has_near_pair(law["support"]) for law in doc["distributions"].values())
+        for entry in _failed_tasks(doc):
+            message = entry["error"]["message"]
+            assert near and any(m in message for m in _ITEM_12), f"{entry['task']}: {message}"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+    def test_near_equal_supports_certify(self):
+        law = {"support": [1.0, 1.0 + 1e-10, 2.0], "probs": [0.25, 0.25, 0.5]}
+        cells = [[v] for v in law["support"]]
+        assert _failed_tasks(_bound_scenario(3, law, law, cells, cells, {"kind": "fourier"})) == []
+
+    def test_fourier3_at_scale_1e6_exits_0(self, tmp_path):
+        doc = copy.deepcopy(SHIPPED_DOCS["fourier3"])
+        for law in doc["distributions"].values():
+            law["support"] = [1e6 * v for v in law["support"]]
+        doc["partitions"] = {name: [[1e6 * v for v in cell] for cell in cells] for name, cells in doc["partitions"].items()}
+        assert run_scenario(write_scenario(tmp_path, doc), out=tmp_path / "r.json") == 0
 
 
 class TestRuntimeErrors:
