@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -475,6 +476,38 @@ class TestMinEntropySum:
         with pytest.raises(ValueError, match="tol"):
             min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=4, tol=tol))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("restarts", 0),
+            ("restarts", 2.5),
+            ("restarts", True),
+            ("max_iters", 0),
+            ("max_iters", 2.5),
+            ("max_iters", math.inf),
+            ("max_iters", False),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
+        ],
+    )
+    def test_counts_and_seed_must_be_ints_in_range(self, field, value):
+        a, b = fourier_pair(4)
+        part = SpectrumPartition.singletons(range(1, 5))
+        opt = dataclasses.replace(OptimizerConfig(restarts=4), **{field: value})
+        for run in (min_entropy_sum, certify_noncommutativity):
+            with pytest.raises(ValueError, match=field):
+                run(a, b, part, part, opt)
+
+    def test_numpy_integer_counts_and_seed_are_accepted(self):
+        a, b = fourier_pair(4)
+        part = SpectrumPartition.singletons(range(1, 5))
+        plain = min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=2, max_iters=30, seed=5))
+        res = min_entropy_sum(
+            a, b, part, part, OptimizerConfig(restarts=np.int64(2), max_iters=np.int32(30), seed=np.uint8(5))
+        )
+        assert (res.value, res.iterations) == (plain.value, plain.iterations)
+
     def test_pure_states_reach_the_mixed_infimum(self):
         # Mixing can never help: the best pure state ties or beats a
         # sample of mixed states on the d=2 grid.
@@ -658,7 +691,7 @@ class TestOptimizerCallContract:
             seen = run(a, b, part, part, opt)
             seen = getattr(seen, "optimizer_evidence", seen)
             assert len(spy.calls) == restarts
-            assert all(c.method == "L-BFGS-B" and callable(c.jac) for c in spy.calls)
+            assert all(c.method is ncprob_eur._lbfgsb and callable(c.jac) for c in spy.calls)
             assert [c.fun_calls for c in spy.calls] == [c.nfev for c in spy.calls]
             assert spy.fun_calls > 0
             assert seen.iterations == sum(c.nit for c in spy.calls)
@@ -677,6 +710,74 @@ class TestOptimizerCallContract:
         res = min_entropy_sum(a, b, part_a, part_b, OptimizerConfig(restarts=6, max_iters=60))
         assert res.value == spy.calls[res.best_restart].end_value
         assert res.evaluations == tuple(c.nfev for c in spy.calls)
+
+
+def _smooth_objective(rng, n):
+    """A smooth, coercive objective on R^n as separate ``fun`` and ``jac``:
+    sum log cosh(A x - y) + sum w x^4 / 10 + |x|^2 / 20."""
+    a, y, w = rng.standard_normal((n, n)), rng.standard_normal(n), rng.uniform(0.1, 1.0, n)
+
+    def fun(x):
+        return float(np.sum(np.log(np.cosh(a @ x - y))) + 0.1 * (w @ x**4) + 0.05 * (x @ x))
+
+    def jac(x):
+        return a.T @ np.tanh(a @ x - y) + 0.4 * w * x**3 + 0.1 * x
+
+    return fun, jac
+
+
+class TestLbfgsbKernelLoop:
+    """``eur._lbfgsb`` runs scipy's L-BFGS-B kernel ``setulb`` under
+    ncprob's own loop.  It must end every run exactly where scipy's own
+    ``"L-BFGS-B"`` method ends it: same bytes of ``x``, same ``fun``,
+    ``nit``, ``nfev`` and ``success``.  This is the guard on the private
+    kernel it calls."""
+
+    @staticmethod
+    def assert_runs_match(fun, jac, x0, options):
+        want = scipy.optimize.minimize(fun, x0, method="L-BFGS-B", jac=jac, options=options)
+        got = scipy.optimize.minimize(fun, x0, method=ncprob_eur._lbfgsb, jac=jac, options=options)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+        assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev, want.success)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        maxiter=st.integers(1, 200),
+        log_ftol=st.floats(-15.0, -3.0),
+        log_gtol=st.floats(-12.0, -3.0),
+    )
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    def test_matches_scipy_on_smooth_objectives(self, seed, n, maxiter, log_ftol, log_gtol):
+        rng = np.random.default_rng(seed)
+        fun, jac = _smooth_objective(rng, n)
+        x0 = 3.0 * rng.standard_normal(n)
+        self.assert_runs_match(fun, jac, x0, {"maxiter": maxiter, "ftol": 10.0**log_ftol, "gtol": 10.0**log_gtol})
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 12),
+        haar=st.booleans(),
+        merged=st.booleans(),
+        maxiter=st.integers(1, 300),
+        tol=st.sampled_from([1e-3, 1e-8, 1e-12]),
+    )
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    def test_matches_scipy_on_the_entropy_objective(self, seed, d, haar, merged, maxiter, tol):
+        rng = np.random.default_rng(seed)
+        a, b = fourier_pair(d)
+        if haar:
+            u = random_unitary(rng, d)
+            b = HermitianOperator(u @ a.matrix @ u.conj().T)
+        eps, delta = (
+            (merged_partition(a, rng), merged_partition(b, rng))
+            if merged
+            else (singleton_partition(a), singleton_partition(b))
+        )
+        fun, jac = captured_callables(pytest.MonkeyPatch(), a, b, eps, delta)
+        options = {"maxiter": maxiter, "ftol": max(tol * 1e-6, 2.3e-16), "gtol": 1e-10}
+        self.assert_runs_match(fun, jac, rng.standard_normal(2 * d), options)
 
 
 class TestCertification:
