@@ -286,9 +286,10 @@ class MinEntropyResult:
     Iterating yields ``(value, state)`` so the result unpacks like a pair.
     ``value`` is the exact entropy sum of ``state``, except that a sum
     within 1e-12 of 0.0 ties with 0.0 and reads 0.0, so it never falls
-    more than 1e-12 below the true infimum.  ``evaluations`` counts the
-    objective's evaluations per restart and ``iterations_per_restart`` the
-    L-BFGS-B iterations; ``restarts`` is their length and ``iterations``
+    more than 1e-12 below the true infimum.  ``evaluations`` holds each
+    restart's objective evaluations (value and gradient together) and
+    ``iterations_per_restart`` its L-BFGS-B iterations, both as the kernel
+    loop counted them; ``restarts`` is their length and ``iterations``
     their sum.
     """
 
@@ -340,9 +341,10 @@ def min_entropy_sum(
     and imaginary parts of both operators' eigenbasis amplitudes, and its
     transpose back.  L-BFGS-B runs as scipy's C kernel ``setulb`` under
     ncprob's own loop, handed to ``scipy.optimize.minimize`` as a custom
-    method, so every restart is one ``minimize`` call and every evaluation
-    passes once through the ``fun`` handed to it, where outside counters
-    see it.
+    method together with one callable returning (value, gradient), so
+    every restart is one ``minimize`` call and every evaluation passes once
+    through that callable, where outside counters see it.  The result's
+    evaluation and iteration counts are read from the loop.
     Restarts are drawn from ``default_rng(opt.seed)`` and merged by
     lowest value; end values within 1e-12 relative of the lowest tie, and
     the lowest restart index wins, so the result is deterministic for a
@@ -352,7 +354,7 @@ def min_entropy_sum(
     return _min_entropy_sum(*_decompose(a, b, eps, delta), opt)
 
 
-def _lbfgsb(fun, x0, *, jac, maxiter, ftol, gtol, **_):
+def _lbfgsb(fun, x0, *, maxiter, ftol, gtol, **_):
     """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) as a custom
     ``scipy.optimize.minimize`` method: scipy's C kernel ``setulb`` (Zhu et
     al. 1997) under the loop of scipy 1.17.1's ``_minimize_lbfgsb``, with no
@@ -360,10 +362,13 @@ def _lbfgsb(fun, x0, *, jac, maxiter, ftol, gtol, **_):
     15000, factr = ftol / eps), its one evaluation at ``x0`` before the
     loop, its memo of the last point under ``np.array_equal`` and its
     float64 copy of the gradient before each kernel call, so ``x``,
-    ``fun``, ``nit``, ``nfev`` and ``success`` are bit for bit scipy's.  It
-    drops the per-evaluation copies, array-API shims and per-iteration
-    result objects around them.  ``**_`` takes the arguments ``minimize``
-    passes that an unbounded L-BFGS-B does not use."""
+    ``fun``, ``nit``, ``nfev`` and ``success`` are bit for bit those of
+    scipy's ``"L-BFGS-B"`` with ``jac=True``.  ``fun(x)`` returns the value
+    and the gradient at ``x``; it is called once per evaluation, and
+    ``nfev`` counts those calls.  The loop drops the per-evaluation copies,
+    array-API shims and per-iteration result objects around them.  ``**_``
+    takes the arguments ``minimize`` passes that an unbounded L-BFGS-B does
+    not use."""
     from scipy.optimize import OptimizeResult
     from scipy.optimize._lbfgsb import setulb  # scipy >= 1.15
 
@@ -371,7 +376,7 @@ def _lbfgsb(fun, x0, *, jac, maxiter, ftol, gtol, **_):
     x = np.array(x0, dtype=np.float64)
     n = x.size
     seen = x.copy()  # the last point evaluated, and its value and gradient
-    fg = fun(seen), jac(seen)
+    fg = fun(seen)
     nfev, nit = 1, 0
     f, g = 0.0, np.zeros(n)  # what the kernel's first call gets, as in scipy's loop
     nbd, free = np.zeros(n, np.int32), np.zeros(n)  # nbd 0: no variable is bounded
@@ -386,7 +391,7 @@ def _lbfgsb(fun, x0, *, jac, maxiter, ftol, gtol, **_):
         if task[0] == 3:  # the kernel asks for f and g at x
             if not np.array_equal(x, seen):
                 seen = x.copy()
-                fg = fun(seen), jac(seen)
+                fg = fun(seen)
                 nfev += 1
             f, g = fg
         elif task[0] == 1:  # a new iterate
@@ -412,13 +417,12 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
     projected out.
 
     Each restart is one ``scipy.optimize.minimize`` call with
-    ``method=_lbfgsb``: ``minimize`` hands ``fun``, ``jac`` and the
-    options straight to ``_lbfgsb``, which asks for the value and then the
-    gradient at each new point.  ``fun`` evaluates and keeps the gradient
-    under the point's bytes; ``jac`` returns it when the bytes match and
-    evaluates afresh otherwise.  So every evaluation passes once through
-    the ``fun`` handed to ``minimize``, which is where outside counters
-    see it.
+    ``method=_lbfgsb``, handed ``objective``, which returns the value and
+    the gradient together; ``minimize`` passes it and the options straight
+    to ``_lbfgsb``.  So every evaluation passes once through the callable
+    handed to ``minimize``, which is where outside counters see it, and the
+    per-restart evaluation and iteration counts are the kernel loop's own
+    ``nfev`` and ``nit``.
     """
     from scipy.optimize import minimize  # 0.4-0.75 s to import; most runs never optimise
 
@@ -443,54 +447,32 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
         g -= (g @ z / n2) * z
         return -float(p @ log_p), g
 
-    cache = [None, None]  # the last point fun evaluated, as bytes, and its gradient
-    evaluations = []  # per restart, the calls to fun
-
-    def fun(z: np.ndarray) -> float:
-        evaluations[-1] += 1
-        value, cache[1] = objective(z)
-        cache[0] = z.tobytes()
-        return value
-
-    def jac(z: np.ndarray) -> np.ndarray:
-        return cache[1] if z.tobytes() == cache[0] else objective(z)[1]
-
     rng = np.random.default_rng(opt.seed)
-    ends = []  # per restart: (end value, end point, success)
-    iterations = []
-    ftol = max(opt.tol * 1e-6, 2.3e-16)
-    for _ in range(opt.restarts):
-        z0 = rng.standard_normal(2 * d)
-        evaluations.append(0)
-        res = minimize(
-            fun,
-            z0,
-            method=_lbfgsb,
-            jac=jac,
-            options={"maxiter": opt.max_iters, "ftol": ftol, "gtol": 1e-10},
-        )
-        iterations.append(int(res.nit))
-        ends.append((float(res.fun), res.x, bool(res.success)))
+    options = {"maxiter": opt.max_iters, "ftol": max(opt.tol * 1e-6, 2.3e-16), "gtol": 1e-10}
+    runs = [
+        minimize(objective, rng.standard_normal(2 * d), method=_lbfgsb, options=options)
+        for _ in range(opt.restarts)
+    ]
 
     # End values within 1e-12 relative of the lowest tie, and the lowest
     # restart index wins, so rounding does not pick among restarts that
     # reach the same optimum.  0.0, the least any entropy sum can be, ties
     # the same way: a value within 1e-12 of it reads 0.0.
-    lowest = min(val for val, _, _ in ends)
+    lowest = min(run.fun for run in runs)
     tie = lowest + 1e-12 * max(1.0, abs(lowest))
-    best_k = next(k for k, (val, _, _) in enumerate(ends) if val <= tie)
-    best_val, best_z, best_ok = ends[best_k]
+    best_k = next(k for k, run in enumerate(runs) if run.fun <= tie)
+    best = runs[best_k]
 
-    psi = best_z[:d] + 1j * best_z[d:]
+    psi = best.x[:d] + 1j * best.x[d:]
     psi = _with_fixed_phase(psi / np.linalg.norm(psi))
     return MinEntropyResult(
-        value=0.0 if best_val <= 1e-12 else best_val,
+        value=0.0 if best.fun <= 1e-12 else best.fun,
         state=PureState(psi),
-        converged=best_ok,
+        converged=best.success,
         seed=opt.seed,
         best_restart=best_k,
-        evaluations=tuple(evaluations),
-        iterations_per_restart=tuple(iterations),
+        evaluations=tuple(run.nfev for run in runs),
+        iterations_per_restart=tuple(run.nit for run in runs),
     )
 
 

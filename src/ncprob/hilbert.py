@@ -608,7 +608,7 @@ GNS_NULL_TOL = 1e-10
 GNS_SPAN_TOL = 1e-8
 
 
-def gns_construct(algebra_basis: Sequence, omega: DensityOperator) -> GNSRepresentation:
+def gns_construct(algebra_basis: Sequence, omega) -> GNSRepresentation:
     """GNS construction: quotient the algebra by the null space of the
     state's sesquilinear form and represent it by left multiplication.
 
@@ -627,8 +627,7 @@ def gns_construct(algebra_basis: Sequence, omega: DensityOperator) -> GNSReprese
     d = mats[0].shape[0]
     if any(m.shape != (d, d) for m in mats):
         raise DimensionError("algebra basis matrices must share one shape")
-    if omega.dim != d:
-        raise DimensionError(f"state dim {omega.dim} != algebra dim {d}")
+    omega = _as_density(omega, d, "algebra")
 
     basis = np.array(mats)  # n x d x d
     flat = basis.reshape(len(basis), -1)  # row j is a_j

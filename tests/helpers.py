@@ -103,8 +103,10 @@ def merged_partition(op: HermitianOperator, rng: np.random.Generator) -> Spectru
 
 @dataclass
 class MinimizeCall:
-    """One scipy.optimize.minimize call: what it was handed, what it
-    reported, and how often it called ``fun``."""
+    """One scipy.optimize.minimize call: the objective ``fun`` it was
+    handed (one callable returning value and gradient), its ``jac``
+    argument (None when absent) and method, what it reported, and how often
+    it called ``fun``."""
 
     fun: object
     jac: object
@@ -118,7 +120,10 @@ class MinimizeCall:
 class MinimizeSpy:
     """Stands in for scipy.optimize.minimize while ``monkeypatch`` is
     active: records every call in ``calls`` and hands on a ``fun`` that
-    counts its own calls, as perfbench's optimizer counters do."""
+    counts its own calls and returns what the original returns, (value,
+    gradient) for the entropy objective, as perfbench's optimizer counters
+    do.  So ``fun_calls`` counts evaluations, and equals the kernel loop's
+    ``nfev``."""
 
     def __init__(self, monkeypatch):
         self.real = scipy.optimize.minimize

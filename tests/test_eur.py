@@ -520,19 +520,13 @@ class TestMinEntropySum:
             assert res.value <= mixed + 1e-6
 
 
-def captured_callables(monkeypatch, a, b, eps, delta):
-    """The ``fun`` and ``jac`` that min_entropy_sum hands to L-BFGS-B,
-    caught by a scipy.optimize.minimize spy."""
+def captured_objective(monkeypatch, a, b, eps, delta):
+    """The minimiser's objective z -> (value, gradient), as min_entropy_sum
+    hands it to L-BFGS-B, caught by a scipy.optimize.minimize spy."""
     with monkeypatch.context() as m:
         spy = MinimizeSpy(m)
         min_entropy_sum(a, b, eps, delta, OptimizerConfig(restarts=1, max_iters=1))
-    return spy.calls[0].fun, spy.calls[0].jac
-
-
-def captured_objective(monkeypatch, a, b, eps, delta):
-    """The minimiser's objective as z -> (value, gradient)."""
-    fun, jac = captured_callables(monkeypatch, a, b, eps, delta)
-    return lambda z: (fun(z), jac(z))
+    return spy.calls[0].fun
 
 
 def central_differences(fun, z, h=1e-6):
@@ -648,35 +642,12 @@ class TestEntropySumGradient:
         assert 0 < counts[0] == counts[1] < 1000  # finite differences took 13,860
 
 
-class TestGradientCache:
-    """L-BFGS-B gets one evaluation's value from ``fun`` and its gradient
-    from ``jac``; ``jac`` evaluates afresh only at a point ``fun`` did not
-    evaluate last."""
-
-    def test_jac_returns_the_gradient_fun_just_computed(self, monkeypatch):
-        rng = np.random.default_rng(83)
-        a, b, eps, delta = _gradient_case("generic", rng)
-        fun, jac = captured_callables(monkeypatch, a, b, eps, delta)
-        oracle = _oracle_objective(a, b, eps, delta)
-        z, fresh = rng.standard_normal((2, 2 * a.dim))
-        value = fun(z)
-        grad = jac(z.copy())
-        assert jac(z) is grad
-        want, want_grad = oracle(z)
-        assert abs(value - want) <= 1e-12
-        assert np.linalg.norm(grad - want_grad) <= 1e-10 * np.linalg.norm(want_grad)
-        # a point fun never saw: jac evaluates it, and the cache stays put
-        want_grad = oracle(fresh)[1]
-        assert np.linalg.norm(jac(fresh) - want_grad) <= 1e-10 * np.linalg.norm(want_grad)
-        assert jac(z) is grad
-
-
 class TestOptimizerCallContract:
     """Optimizer work is observable from outside: every restart is one
     scipy.optimize.minimize call, looked up on that module at call time.
-    L-BFGS-B gets one evaluation's value and gradient through two
-    callables, ``fun`` and ``jac``, and every evaluation passes once through
-    the ``fun`` handed to minimize.  perfbench's optimizer counters wrap
+    L-BFGS-B gets one evaluation's value and gradient from one callable,
+    handed to minimize as ``fun`` with no ``jac``, and every evaluation
+    passes once through it.  perfbench's optimizer counters wrap
     that call and that ``fun``, and nothing else."""
 
     @pytest.mark.parametrize("restarts", [1, 3, 8])
@@ -691,7 +662,7 @@ class TestOptimizerCallContract:
             seen = run(a, b, part, part, opt)
             seen = getattr(seen, "optimizer_evidence", seen)
             assert len(spy.calls) == restarts
-            assert all(c.method is ncprob_eur._lbfgsb and callable(c.jac) for c in spy.calls)
+            assert all(c.method is ncprob_eur._lbfgsb and c.jac is None for c in spy.calls)
             assert [c.fun_calls for c in spy.calls] == [c.nfev for c in spy.calls]
             assert spy.fun_calls > 0
             assert seen.iterations == sum(c.nit for c in spy.calls)
@@ -713,30 +684,29 @@ class TestOptimizerCallContract:
 
 
 def _smooth_objective(rng, n):
-    """A smooth, coercive objective on R^n as separate ``fun`` and ``jac``:
+    """A smooth, coercive objective on R^n as x -> (value, gradient):
     sum log cosh(A x - y) + sum w x^4 / 10 + |x|^2 / 20."""
     a, y, w = rng.standard_normal((n, n)), rng.standard_normal(n), rng.uniform(0.1, 1.0, n)
 
     def fun(x):
-        return float(np.sum(np.log(np.cosh(a @ x - y))) + 0.1 * (w @ x**4) + 0.05 * (x @ x))
+        value = float(np.sum(np.log(np.cosh(a @ x - y))) + 0.1 * (w @ x**4) + 0.05 * (x @ x))
+        return value, a.T @ np.tanh(a @ x - y) + 0.4 * w * x**3 + 0.1 * x
 
-    def jac(x):
-        return a.T @ np.tanh(a @ x - y) + 0.4 * w * x**3 + 0.1 * x
-
-    return fun, jac
+    return fun
 
 
 class TestLbfgsbKernelLoop:
     """``eur._lbfgsb`` runs scipy's L-BFGS-B kernel ``setulb`` under
     ncprob's own loop.  It must end every run exactly where scipy's own
-    ``"L-BFGS-B"`` method ends it: same bytes of ``x``, same ``fun``,
+    ``"L-BFGS-B"`` method ends it, handed the same (value, gradient)
+    callable with ``jac=True``: same bytes of ``x``, same ``fun``,
     ``nit``, ``nfev`` and ``success``.  This is the guard on the private
     kernel it calls."""
 
     @staticmethod
-    def assert_runs_match(fun, jac, x0, options):
-        want = scipy.optimize.minimize(fun, x0, method="L-BFGS-B", jac=jac, options=options)
-        got = scipy.optimize.minimize(fun, x0, method=ncprob_eur._lbfgsb, jac=jac, options=options)
+    def assert_runs_match(fg, x0, options):
+        want = scipy.optimize.minimize(fg, x0, method="L-BFGS-B", jac=True, options=options)
+        got = scipy.optimize.minimize(fg, x0, method=ncprob_eur._lbfgsb, options=options)
         assert got.x.tobytes() == want.x.tobytes()
         assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
         assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev, want.success)
@@ -751,9 +721,9 @@ class TestLbfgsbKernelLoop:
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     def test_matches_scipy_on_smooth_objectives(self, seed, n, maxiter, log_ftol, log_gtol):
         rng = np.random.default_rng(seed)
-        fun, jac = _smooth_objective(rng, n)
+        fg = _smooth_objective(rng, n)
         x0 = 3.0 * rng.standard_normal(n)
-        self.assert_runs_match(fun, jac, x0, {"maxiter": maxiter, "ftol": 10.0**log_ftol, "gtol": 10.0**log_gtol})
+        self.assert_runs_match(fg, x0, {"maxiter": maxiter, "ftol": 10.0**log_ftol, "gtol": 10.0**log_gtol})
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -775,9 +745,9 @@ class TestLbfgsbKernelLoop:
             if merged
             else (singleton_partition(a), singleton_partition(b))
         )
-        fun, jac = captured_callables(pytest.MonkeyPatch(), a, b, eps, delta)
+        fg = captured_objective(pytest.MonkeyPatch(), a, b, eps, delta)
         options = {"maxiter": maxiter, "ftol": max(tol * 1e-6, 2.3e-16), "gtol": 1e-10}
-        self.assert_runs_match(fun, jac, rng.standard_normal(2 * d), options)
+        self.assert_runs_match(fg, rng.standard_normal(2 * d), options)
 
 
 class TestCertification:

@@ -550,6 +550,15 @@ class TestGNS:
             rep = gns_construct(self.full_algebra(d), random_density(rng, d, rank=1))
             assert rep.rep_dim == d
 
+    def test_a_pure_state_and_its_density_give_one_representation(self):
+        rng = np.random.default_rng(35)
+        for d in (2, 3):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            psi = PureState(v / np.linalg.norm(v))
+            pure, dense = (gns_construct(self.full_algebra(d), s) for s in (psi, psi.density()))
+            assert pure.rep_dim == dense.rep_dim == d
+            assert pure.reproduction_error == dense.reproduction_error
+
     def test_diagonal_algebra_faithful_state(self):
         basis = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
         rho = DensityOperator(np.diag([0.5, 0.3, 0.2]))
@@ -786,8 +795,17 @@ _PART3 = SpectrumPartition.singletons([-1.0, 0.0, 1.0])
         (lambda s: trace_expectation(s, _OP3), "operator"),
         (lambda s: chsh_beta(_OP3, _OP3, _OP3, _OP3, s), "a1"),
         (lambda s: dispersion(s, _OP3), "operator"),
+        (lambda s: gns_construct([np.eye(3)], s), "algebra"),
     ],
-    ids=["spectral_measure", "partition_probabilities", "epsilon_entropy", "trace_expectation", "chsh_beta", "dispersion"],
+    ids=[
+        "spectral_measure",
+        "partition_probabilities",
+        "epsilon_entropy",
+        "trace_expectation",
+        "chsh_beta",
+        "dispersion",
+        "gns_construct",
+    ],
 )
 @pytest.mark.parametrize("state", [basis_state(2, 0), basis_state(2, 0).density()], ids=["pure", "density"])
 def test_state_of_another_dimension_is_a_dimension_error(call, what, state):
@@ -795,9 +813,14 @@ def test_state_of_another_dimension_is_a_dimension_error(call, what, state):
         call(state)
 
 
-def test_a_state_that_is_neither_pure_nor_density_is_a_type_error():
+@pytest.mark.parametrize(
+    "call",
+    [lambda s: trace_expectation(s, _OP3), lambda s: gns_construct([np.eye(3)], s)],
+    ids=["trace_expectation", "gns_construct"],
+)
+def test_a_state_that_is_neither_pure_nor_density_is_a_type_error(call):
     with pytest.raises(TypeError, match="expected DensityOperator or PureState, got ndarray"):
-        trace_expectation(np.eye(3) / 3, _OP3)
+        call(np.eye(3) / 3)
 
 
 class TestScaleRule:
