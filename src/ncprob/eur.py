@@ -21,6 +21,7 @@ independent cross-check; neither feeds the verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -48,6 +49,10 @@ from .hilbert import (
 CERTIFICATION_THRESHOLD = 1e-6
 #: Default seed for the entropy-sum minimiser.
 DEFAULT_OPTIMIZER_SEED = 1729
+#: The most restarts whose L-BFGS-B kernel state is alive at once (the
+#: default restart count).  One row's workspace holds 2mn + 5n + 11m^2 + 8m
+#: floats, n = 2d and m = 10: about 419 KB at d = 1024.
+MAX_STACK_ROWS = 32
 
 
 @dataclass(frozen=True, init=False)
@@ -287,10 +292,12 @@ class MinEntropyResult:
     ``value`` is the exact entropy sum of ``state``, except that a sum
     within 1e-12 of 0.0 ties with 0.0 and reads 0.0, so it never falls
     more than 1e-12 below the true infimum.  ``evaluations`` holds each
-    restart's objective evaluations (value and gradient together) and
+    restart's objective evaluations (value and gradient together; each is
+    one row of one call of the stacked objective that the certification's
+    one ``minimize`` call hands to the kernel loop) and
     ``iterations_per_restart`` its L-BFGS-B iterations, both as the kernel
-    loop counted them; ``restarts`` is their length and ``iterations``
-    their sum.
+    loop counted them for that restart's row; ``restarts`` is their length
+    and ``iterations`` their sum.
     """
 
     value: float
@@ -319,8 +326,9 @@ def _checked(opt: OptimizerConfig | None) -> OptimizerConfig:
         value = getattr(opt, field)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ValueError(f"{field} must be an int >= {least}, got {value!r}")
-    if not (math.isfinite(opt.tol) and opt.tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {opt.tol!r}")
+    tol = opt.tol
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     return opt
 
 
@@ -341,10 +349,13 @@ def min_entropy_sum(
     and imaginary parts of both operators' eigenbasis amplitudes, and its
     transpose back.  L-BFGS-B runs as scipy's C kernel ``setulb`` under
     ncprob's own loop, handed to ``scipy.optimize.minimize`` as a custom
-    method together with one callable returning (value, gradient), so
-    every restart is one ``minimize`` call and every evaluation passes once
-    through that callable, where outside counters see it.  The result's
-    evaluation and iteration counts are read from the loop.
+    method together with one callable returning the values and gradients
+    of a stack of points.  The restarts run side by side, one row each with
+    its own kernel state, and the rows that ask for a new point in a round
+    are evaluated as one stack, each with the bits it would get alone.  So
+    a certification is one ``minimize`` call and every evaluation is one
+    row of one call of that callable, where outside counters see it.  The
+    result's evaluation and iteration counts are read from the loop.
     Restarts are drawn from ``default_rng(opt.seed)`` and merged by
     lowest value; end values within 1e-12 relative of the lowest tie, and
     the lowest restart index wins, so the result is deterministic for a
@@ -354,29 +365,16 @@ def min_entropy_sum(
     return _min_entropy_sum(*_decompose(a, b, eps, delta), opt)
 
 
-def _lbfgsb(fun, x0, *, maxiter, ftol, gtol, **_):
-    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) as a custom
-    ``scipy.optimize.minimize`` method: scipy's C kernel ``setulb`` (Zhu et
-    al. 1997) under the loop of scipy 1.17.1's ``_minimize_lbfgsb``, with no
-    bounds.  It keeps that loop's settings (maxcor 10, maxls 20, maxfun
-    15000, factr = ftol / eps), its one evaluation at ``x0`` before the
-    loop, its memo of the last point under ``np.array_equal`` and its
-    float64 copy of the gradient before each kernel call, so ``x``,
-    ``fun``, ``nit``, ``nfev`` and ``success`` are bit for bit those of
-    scipy's ``"L-BFGS-B"`` with ``jac=True``.  ``fun(x)`` returns the value
-    and the gradient at ``x``; it is called once per evaluation, and
-    ``nfev`` counts those calls.  The loop drops the per-evaluation copies,
-    array-API shims and per-iteration result objects around them.  ``**_``
-    takes the arguments ``minimize`` passes that an unbounded L-BFGS-B does
-    not use."""
-    from scipy.optimize import OptimizeResult
+def _lbfgsb_row(x, maxiter, factr, gtol):
+    """One restart of the kernel loop, as a generator: it yields each new
+    point at which it needs f and g, is sent back (f, g), and returns
+    (fun, nit, nfev, success).  The kernel updates ``x`` in place."""
     from scipy.optimize._lbfgsb import setulb  # scipy >= 1.15
 
     m, maxls, maxfun = 10, 20, 15000
-    x = np.array(x0, dtype=np.float64)
     n = x.size
     seen = x.copy()  # the last point evaluated, and its value and gradient
-    fg = fun(seen)
+    fg = yield seen
     nfev, nit = 1, 0
     f, g = 0.0, np.zeros(n)  # what the kernel's first call gets, as in scipy's loop
     nbd, free = np.zeros(n, np.int32), np.zeros(n)  # nbd 0: no variable is bounded
@@ -384,14 +382,13 @@ def _lbfgsb(fun, x0, *, maxiter, ftol, gtol, **_):
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
     isave, dsave = np.zeros(44, np.int32), np.zeros(29)
-    factr = ftol / np.finfo(float).eps
     while True:
         g = g.astype(np.float64)
         setulb(m, x, free, free, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, maxls, ln_task)
         if task[0] == 3:  # the kernel asks for f and g at x
             if not np.array_equal(x, seen):
                 seen = x.copy()
-                fg = fun(seen)
+                fg = yield seen
                 nfev += 1
             f, g = fg
         elif task[0] == 1:  # a new iterate
@@ -401,8 +398,63 @@ def _lbfgsb(fun, x0, *, maxiter, ftol, gtol, **_):
             elif nfev > maxfun:
                 task[:] = 5, 502
         else:
-            break
-    return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, success=bool(task[0] == 4))
+            return f, nit, nfev, task[0] == 4
+
+
+def _lbfgsb(fun, x0, *, maxiter, ftol, gtol, rows, **_):
+    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on ``rows`` independent
+    problems side by side, as a custom ``scipy.optimize.minimize`` method.
+
+    ``x0`` holds the rows' starting points one after another (``minimize``
+    takes a 1-d ``x0``).  Each row runs scipy's C kernel ``setulb`` (Zhu et
+    al. 1997) under the loop of scipy 1.17.1's ``_minimize_lbfgsb``, with
+    no bounds and its own kernel state.  It keeps that loop's settings
+    (maxcor 10, maxls 20, maxfun 15000, factr = ftol / eps), its one
+    evaluation at the start before the loop, its memo of the last point
+    under ``np.array_equal`` and its float64 copy of the gradient before
+    each kernel call, so every row's ``x``, ``fun``, ``nit``, ``nfev`` and
+    ``success`` are bit for bit those of scipy's ``"L-BFGS-B"`` with
+    ``jac=True`` on that row alone.
+
+    Each row steps until it asks for f and g at a new point or stops.  The
+    rows that asked then go to ``fun`` as one stack, a 2-d array with one
+    point per row, and ``fun`` returns their values and gradients, one per
+    row; so every evaluation is one row of one call of ``fun``, and a row's
+    ``nfev`` counts its rows.  A row that stops leaves the stack while the
+    others go on.  At most ``MAX_STACK_ROWS`` rows hold kernel state at
+    once; each row that stops makes room for the next.  The result holds
+    one entry per row: ``x`` of shape (rows, n), and ``fun``, ``nit``,
+    ``nfev`` and ``success`` of shape (rows,).  ``**_`` takes the
+    arguments ``minimize`` passes that an unbounded L-BFGS-B does not
+    use."""
+    from scipy.optimize import OptimizeResult
+
+    x = np.array(x0, dtype=np.float64).reshape(rows, -1)
+    factr = ftol / np.finfo(float).eps
+    ends = [None] * rows
+    queued = iter(range(rows))
+    live, asks = {}, {}  # row -> its loop, and the point it asks f and g at
+
+    def start(k):
+        live[k] = _lbfgsb_row(x[k], maxiter, factr, gtol)
+        asks[k] = next(live[k])
+
+    for k in itertools.islice(queued, MAX_STACK_ROWS):
+        start(k)
+    while asks:
+        stack, asks = asks, {}
+        points = list(stack.values())
+        values, grads = fun(points[0][None] if len(points) == 1 else np.array(points))
+        for k, f, g in zip(stack, values, grads):
+            try:
+                asks[k] = live[k].send((f, g))
+            except StopIteration as stop:
+                ends[k] = stop.value
+                del live[k]
+                for j in itertools.islice(queued, 1):
+                    start(j)
+    f, nit, nfev, success = (np.array(col) for col in zip(*ends))
+    return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, success=success)
 
 
 def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyResult:
@@ -416,13 +468,18 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
     gradient -(2 / |z|^2) R^T (log p[idx] * y) with its radial part
     projected out.
 
-    Each restart is one ``scipy.optimize.minimize`` call with
-    ``method=_lbfgsb``, handed ``objective``, which returns the value and
-    the gradient together; ``minimize`` passes it and the options straight
-    to ``_lbfgsb``.  So every evaluation passes once through the callable
-    handed to ``minimize``, which is where outside counters see it, and the
-    per-restart evaluation and iteration counts are the kernel loop's own
-    ``nfev`` and ``nit``.
+    All restarts go to one ``scipy.optimize.minimize`` call with
+    ``method=_lbfgsb`` and ``rows=opt.restarts``, handed ``stacked``, which
+    returns the values and gradients of a stack of points, one row per
+    restart that asks; ``minimize`` passes it and the options straight to
+    ``_lbfgsb``.  So every evaluation is one row of one call of the
+    callable handed to ``minimize``, which is where outside counters see
+    it, and the per-restart evaluation and iteration counts are the kernel
+    loop's own per-row ``nfev`` and ``nit``.  ``stacked`` gives each row
+    the bits ``objective`` gives that point alone: it makes one BLAS gemv
+    per row, as ``objective`` does (one GEMM over the stack rounds
+    differently), and it hands a one-row stack, or one holding a point
+    near 0, to ``objective`` itself.
     """
     from scipy.optimize import minimize  # 0.4-0.75 s to import; most runs never optimise
 
@@ -430,6 +487,9 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
     m = np.concatenate([wa, wb], axis=1).conj().T  # 2d x d: psi -> (W_A* psi, W_B* psi)
     r = np.block([[m.real, -m.imag], [m.imag, m.real]])
     idx = np.tile(np.concatenate([idx_a, idx_b + idx_a.max() + 1]), 2)
+    cells = int(idx.max()) + 1
+    # row i of a stack puts its entries of y in bins i * cells + idx
+    bins = idx + cells * np.arange(MAX_STACK_ROWS)[:, None]
 
     def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
         n2 = z @ z
@@ -447,32 +507,54 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
         g -= (g @ z / n2) * z
         return -float(p @ log_p), g
 
+    def stacked(zs: np.ndarray) -> tuple:
+        """``objective`` on each row of zs (at most ``MAX_STACK_ROWS``):
+        (values, gradients), one per row."""
+        if len(zs) == 1:  # the common tail of a run; the stacked form costs more on one row
+            value, grad = objective(zs[0])
+            return (value,), (grad,)
+        n2 = np.vecdot(zs, zs)
+        if n2.min() < 1e-24:
+            return tuple(zip(*map(objective, zs)))
+        at = bins[: len(zs)].ravel()
+        y = np.matmul(zs[:, None, :], r.T)[:, 0]
+        p = np.bincount(at, weights=(y * y).ravel()).reshape(len(zs), cells) / n2[:, None]
+        log_p = np.log(np.maximum(p, 1e-300))
+        g = np.matmul((np.take(log_p, at).reshape(y.shape) * y)[:, None, :], r)[:, 0]
+        g *= (-2.0 / n2)[:, None]
+        g -= (np.vecdot(g, zs) / n2)[:, None] * zs
+        return -np.vecdot(p, log_p), g
+
     rng = np.random.default_rng(opt.seed)
-    options = {"maxiter": opt.max_iters, "ftol": max(opt.tol * 1e-6, 2.3e-16), "gtol": 1e-10}
-    runs = [
-        minimize(objective, rng.standard_normal(2 * d), method=_lbfgsb, options=options)
-        for _ in range(opt.restarts)
-    ]
+    options = {
+        "maxiter": opt.max_iters,
+        "ftol": max(opt.tol * 1e-6, 2.3e-16),
+        "gtol": 1e-10,
+        "rows": opt.restarts,
+    }
+    starts = rng.standard_normal((opt.restarts, 2 * d))  # the k-th row is the k-th draw of 2d
+    run = minimize(stacked, starts.ravel(), method=_lbfgsb, options=options)
+    ends = run.fun.tolist()
 
     # End values within 1e-12 relative of the lowest tie, and the lowest
     # restart index wins, so rounding does not pick among restarts that
     # reach the same optimum.  0.0, the least any entropy sum can be, ties
     # the same way: a value within 1e-12 of it reads 0.0.
-    lowest = min(run.fun for run in runs)
+    lowest = min(ends)
     tie = lowest + 1e-12 * max(1.0, abs(lowest))
-    best_k = next(k for k, run in enumerate(runs) if run.fun <= tie)
-    best = runs[best_k]
+    best_k = next(k for k, end in enumerate(ends) if end <= tie)
 
-    psi = best.x[:d] + 1j * best.x[d:]
+    x = run.x[best_k]
+    psi = x[:d] + 1j * x[d:]
     psi = _with_fixed_phase(psi / np.linalg.norm(psi))
     return MinEntropyResult(
-        value=0.0 if best.fun <= 1e-12 else best.fun,
+        value=0.0 if ends[best_k] <= 1e-12 else ends[best_k],
         state=PureState(psi),
-        converged=best.success,
+        converged=bool(run.success[best_k]),
         seed=opt.seed,
         best_restart=best_k,
-        evaluations=tuple(run.nfev for run in runs),
-        iterations_per_restart=tuple(run.nit for run in runs),
+        evaluations=tuple(run.nfev.tolist()),
+        iterations_per_restart=tuple(run.nit.tolist()),
     )
 
 

@@ -6,7 +6,7 @@ test pins its own seed and stays bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -104,26 +104,34 @@ def merged_partition(op: HermitianOperator, rng: np.random.Generator) -> Spectru
 @dataclass
 class MinimizeCall:
     """One scipy.optimize.minimize call: the objective ``fun`` it was
-    handed (one callable returning value and gradient), its ``jac``
-    argument (None when absent) and method, what it reported, and how often
-    it called ``fun``."""
+    handed (one callable taking a stack of points, one per row, and
+    returning their values and gradients), its ``jac`` argument (None when
+    absent) and method, how often it called ``fun``, the heights of the
+    stacks it handed to ``fun``, and what it reported per row."""
 
     fun: object
     jac: object
     method: str | None
     fun_calls: int = 0
-    nfev: int = -1
-    nit: int = -1
-    end_value: float = float("nan")
+    heights: list = field(default_factory=list)
+    nfev: tuple = ()
+    nit: tuple = ()
+    end_values: tuple = ()
+
+    @property
+    def rows_seen(self) -> int:
+        return sum(self.heights)
 
 
 class MinimizeSpy:
     """Stands in for scipy.optimize.minimize while ``monkeypatch`` is
     active: records every call in ``calls`` and hands on a ``fun`` that
-    counts its own calls and returns what the original returns, (value,
-    gradient) for the entropy objective, as perfbench's optimizer counters
-    do.  So ``fun_calls`` counts evaluations, and equals the kernel loop's
-    ``nfev``."""
+    counts its own calls and the rows of every stack it is handed, and
+    returns what the original returns, as perfbench's optimizer counters
+    do.  The entropy minimiser makes one call per certification, and every
+    evaluation is one row of one call of ``fun``; so ``rows_seen`` counts
+    evaluations, and equals the sum of the kernel loop's per-row
+    ``nfev``, which the spy reads from the result with ``nit`` and ``fun``."""
 
     def __init__(self, monkeypatch):
         self.real = scipy.optimize.minimize
@@ -134,14 +142,16 @@ class MinimizeSpy:
         call = MinimizeCall(fun, kwargs.get("jac"), kwargs.get("method"))
         self.calls.append(call)
 
-        def counted(z):
+        def counted(zs):
             call.fun_calls += 1
-            return fun(z)
+            call.heights.append(len(zs))
+            return fun(zs)
 
         res = self.real(counted, x0, **kwargs)
-        call.nfev, call.nit, call.end_value = int(res.nfev), int(res.nit), float(res.fun)
+        call.nfev, call.nit = tuple(res.nfev.tolist()), tuple(res.nit.tolist())
+        call.end_values = tuple(res.fun.tolist())
         return res
 
     @property
-    def fun_calls(self) -> int:
-        return sum(c.fun_calls for c in self.calls)
+    def rows_seen(self) -> int:
+        return sum(c.rows_seen for c in self.calls)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,6 +490,8 @@ class TestMinEntropySum:
             ("seed", -1),
             ("seed", 1.5),
             ("seed", True),
+            ("tol", True),
+            ("tol", "1e-8"),
         ],
     )
     def test_counts_and_seed_must_be_ints_in_range(self, field, value):
@@ -521,16 +524,42 @@ class TestMinEntropySum:
 
 
 def captured_objective(monkeypatch, a, b, eps, delta):
-    """The minimiser's objective z -> (value, gradient), as min_entropy_sum
-    hands it to L-BFGS-B, caught by a scipy.optimize.minimize spy."""
+    """The minimiser's stacked objective zs -> (values, gradients), one per
+    row of zs, as min_entropy_sum hands it to L-BFGS-B, caught by a
+    scipy.optimize.minimize spy."""
     with monkeypatch.context() as m:
         spy = MinimizeSpy(m)
         min_entropy_sum(a, b, eps, delta, OptimizerConfig(restarts=1, max_iters=1))
     return spy.calls[0].fun
 
 
+def stack_rows(fun, zs):
+    """(value, gradient) at every point of zs, from one stack of them all."""
+    values, grads = fun(np.array(zs))
+    return list(zip(values, grads))
+
+
+def one_row(fun):
+    """The stacked objective at one point, as a one-row stack: the path
+    that runs the minimiser's 1-d objective itself."""
+
+    def at(z):
+        (value,), (grad,) = fun(z[None])
+        return value, grad
+
+    return at
+
+
+def both_paths(fun, zs):
+    """(value, gradient) at every point of zs (two or more), once from one
+    stack of them all and once from a one-row stack per point."""
+    return stack_rows(fun, zs) + [one_row(fun)(z) for z in zs]
+
+
 def central_differences(fun, z, h=1e-6):
-    return np.array([(fun(z + e)[0] - fun(z - e)[0]) / (2.0 * h) for e in h * np.eye(z.size)])
+    steps = h * np.eye(z.size)
+    values = np.asarray(fun(np.concatenate([z + steps, z - steps]))[0])
+    return (values[: z.size] - values[z.size :]) / (2.0 * h)
 
 
 def _gradient_case(kind, rng):
@@ -572,6 +601,10 @@ def _oracle_objective(a, b, eps, delta):
 
 
 class TestEntropySumGradient:
+    """The stacked objective's gradient, on both of its paths: rows of a
+    stack of two or more points, and a one-row stack, which runs the 1-d
+    objective."""
+
     @pytest.mark.parametrize("kind", ["generic", "degenerate", "coarse", "single_cell"])
     def test_matches_central_differences(self, monkeypatch, kind):
         rng = np.random.default_rng(80)
@@ -579,9 +612,9 @@ class TestEntropySumGradient:
             a, b, eps, delta = _gradient_case(kind, rng)
             fun = captured_objective(monkeypatch, a, b, eps, delta)
             z = rng.standard_normal(2 * a.dim) * rng.uniform(0.5, 2.0)
-            value, grad = fun(z)
             num = central_differences(fun, z)
-            assert np.linalg.norm(grad - num) <= 1e-6 * np.linalg.norm(num)
+            for _, grad in (stack_rows(fun, [z, -z])[0], one_row(fun)(z)):
+                assert np.linalg.norm(grad - num) <= 1e-6 * np.linalg.norm(num)
 
     @pytest.mark.parametrize("kind", ["generic", "degenerate", "coarse", "single_cell", "interleaved"])
     def test_matches_the_complex_projector_oracle(self, monkeypatch, kind):
@@ -592,15 +625,17 @@ class TestEntropySumGradient:
             a, b, eps, delta = _gradient_case(kind, rng)
             fun = captured_objective(monkeypatch, a, b, eps, delta)
             oracle = _oracle_objective(a, b, eps, delta)
+            zs, cs = [], []
             for _ in range(4):
                 z = rng.standard_normal(2 * a.dim)
-                z *= rng.uniform(0.5, 2.0) / np.linalg.norm(z)
-                value, grad = fun(z)
+                zs.append(z * (rng.uniform(0.5, 2.0) / np.linalg.norm(z)))
+                cs.append(rng.uniform(0.5, 2.0))
+            unscaled = both_paths(fun, zs)
+            rescaled = both_paths(fun, [c * z for c, z in zip(cs, zs)])
+            for z, c, (value, grad), (scaled, scaled_grad) in zip(zs * 2, cs * 2, unscaled, rescaled):
                 want, want_grad = oracle(z)
                 assert abs(value - want) <= 1e-12
                 assert np.linalg.norm(grad - want_grad) <= 1e-10 * np.linalg.norm(want_grad)
-                c = rng.uniform(0.5, 2.0)
-                scaled, scaled_grad = fun(c * z)
                 assert abs(scaled - value) <= 1e-12
                 assert np.linalg.norm(scaled_grad - grad / c) <= 1e-10 * np.linalg.norm(grad / c)
                 assert abs(grad @ z) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(z)
@@ -609,9 +644,9 @@ class TestEntropySumGradient:
         a, b = pauli_pair()
         whole = SpectrumPartition.single_cell([-1.0, 1.0])
         fun = captured_objective(monkeypatch, a, b, whole, whole)
-        value, grad = fun(np.random.default_rng(81).standard_normal(4))
-        assert abs(value) <= 1e-12
-        assert np.linalg.norm(grad) <= 1e-12
+        for value, grad in both_paths(fun, np.random.default_rng(81).standard_normal((3, 4))):
+            assert abs(value) <= 1e-12
+            assert np.linalg.norm(grad) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     @pytest.mark.parametrize("diagonal_first", [True, False])
@@ -623,10 +658,7 @@ class TestEntropySumGradient:
         part = SpectrumPartition.singletons(range(1, d + 1))
         pair = (a, b) if diagonal_first else (b, a)
         fun = captured_objective(monkeypatch, *pair, part, part)
-        for k in range(d):
-            z = np.zeros(2 * d)
-            z[k] = 1.0
-            value, grad = fun(z)
+        for value, grad in both_paths(fun, np.eye(2 * d)[:d]):
             assert value == pytest.approx(math.log(d), abs=1e-12)
             assert np.all(np.isfinite(grad))
 
@@ -638,19 +670,56 @@ class TestEntropySumGradient:
             spy.calls.clear()
             res = min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=8, max_iters=300, tol=1e-8))
             assert abs(res.value - math.log(16)) <= 1e-9
-            counts.append(spy.fun_calls)
+            counts.append(spy.rows_seen)
         assert 0 < counts[0] == counts[1] < 1000  # finite differences took 13,860
 
 
-class TestOptimizerCallContract:
-    """Optimizer work is observable from outside: every restart is one
-    scipy.optimize.minimize call, looked up on that module at call time.
-    L-BFGS-B gets one evaluation's value and gradient from one callable,
-    handed to minimize as ``fun`` with no ``jac``, and every evaluation
-    passes once through it.  perfbench's optimizer counters wrap
-    that call and that ``fun``, and nothing else."""
+class TestStackedObjective:
+    """Every row of a stack gets the bits that the minimiser's 1-d
+    objective gives its point alone, which a one-row stack runs; so
+    stacking restarts moves no trajectory."""
 
-    @pytest.mark.parametrize("restarts", [1, 3, 8])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 12),
+        haar=st.booleans(),
+        grain=st.sampled_from(["singleton", "merged", "single_cell"]),
+        rows=st.integers(2, 8),
+        tiny=st.booleans(),
+    )
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    def test_every_row_carries_the_one_row_bits(self, seed, d, haar, grain, rows, tiny):
+        rng = np.random.default_rng(seed)
+        a, b = fourier_pair(d)
+        if haar:
+            u = random_unitary(rng, d)
+            b = HermitianOperator(u @ a.matrix @ u.conj().T)
+        if grain == "merged":
+            eps, delta = merged_partition(a, rng), merged_partition(b, rng)
+        else:
+            eps, delta = singleton_partition(a), singleton_partition(b)
+            if grain == "single_cell":
+                eps = SpectrumPartition.single_cell(eps.ground_values())
+        fun = captured_objective(pytest.MonkeyPatch(), a, b, eps, delta)
+        zs = rng.standard_normal((rows, 2 * d)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+        if tiny:
+            zs[rng.integers(rows)] *= 1e-14  # |z|^2 < 1e-24: the 1-d objective's own branch
+        for z, (value, grad) in zip(zs, stack_rows(fun, zs)):
+            want, want_grad = one_row(fun)(z)
+            assert np.float64(value).tobytes() == np.float64(want).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+
+class TestOptimizerCallContract:
+    """Optimizer work is observable from outside: every certification is
+    one scipy.optimize.minimize call, looked up on that module at call
+    time, with one row per restart.  L-BFGS-B gets the values and
+    gradients of a stack of points, one per restart that asks, from one
+    callable, handed to minimize as ``fun`` with no ``jac``, and every
+    evaluation is one row of one call of it.  perfbench's optimizer
+    counters wrap that call and that ``fun``, and nothing else."""
+
+    @pytest.mark.parametrize("restarts", [1, 3, 8, 40])
     def test_a_minimize_wrapper_sees_every_restart_and_evaluation(self, monkeypatch, restarts):
         a, b = fourier_pair(4)
         part = SpectrumPartition.singletons(range(1, 5))
@@ -661,13 +730,15 @@ class TestOptimizerCallContract:
             spy.calls.clear()
             seen = run(a, b, part, part, opt)
             seen = getattr(seen, "optimizer_evidence", seen)
-            assert len(spy.calls) == restarts
-            assert all(c.method is ncprob_eur._lbfgsb and c.jac is None for c in spy.calls)
-            assert [c.fun_calls for c in spy.calls] == [c.nfev for c in spy.calls]
-            assert spy.fun_calls > 0
-            assert seen.iterations == sum(c.nit for c in spy.calls)
-            assert seen.iterations_per_restart == tuple(c.nit for c in spy.calls)
-            assert seen.evaluations == tuple(c.fun_calls for c in spy.calls) == tuple(c.nfev for c in spy.calls)
+            assert len(spy.calls) == 1
+            (call,) = spy.calls
+            assert call.method is ncprob_eur._lbfgsb and call.jac is None
+            assert call.rows_seen == sum(call.nfev) == sum(seen.evaluations)
+            assert 0 < call.fun_calls == len(call.heights)
+            assert max(call.heights) <= ncprob_eur.MAX_STACK_ROWS
+            assert seen.iterations == sum(call.nit)
+            assert seen.iterations_per_restart == call.nit
+            assert seen.evaluations == call.nfev
             assert (seen.value, seen.best_restart, seen.iterations) == (
                 plain.value, plain.best_restart, plain.iterations
             )
@@ -679,8 +750,26 @@ class TestOptimizerCallContract:
         part_a, part_b = singleton_partition(a), singleton_partition(b)
         spy = MinimizeSpy(monkeypatch)
         res = min_entropy_sum(a, b, part_a, part_b, OptimizerConfig(restarts=6, max_iters=60))
-        assert res.value == spy.calls[res.best_restart].end_value
-        assert res.evaluations == tuple(c.nfev for c in spy.calls)
+        (call,) = spy.calls
+        assert res.value == call.end_values[res.best_restart]
+        assert res.evaluations == call.nfev
+
+    def test_at_most_the_cap_of_restarts_hold_kernel_state_at_once(self):
+        # One row's workspace at d = 64 is 4,380 floats; without the cap,
+        # 256 restarts would hold eight times what 32 hold.
+        a, b = fourier_pair(64)
+        part = SpectrumPartition.singletons(range(1, 65))
+
+        def peak(restarts):
+            tracemalloc.start()
+            try:
+                min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=restarts, max_iters=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # imports outside the measured runs
+        assert peak(256) <= 2 * peak(ncprob_eur.MAX_STACK_ROWS)
 
 
 def _smooth_objective(rng, n):
@@ -697,44 +786,55 @@ def _smooth_objective(rng, n):
 
 class TestLbfgsbKernelLoop:
     """``eur._lbfgsb`` runs scipy's L-BFGS-B kernel ``setulb`` under
-    ncprob's own loop.  It must end every run exactly where scipy's own
-    ``"L-BFGS-B"`` method ends it, handed the same (value, gradient)
-    callable with ``jac=True``: same bytes of ``x``, same ``fun``,
-    ``nit``, ``nfev`` and ``success``.  This is the guard on the private
-    kernel it calls."""
+    ncprob's own loop, one row per problem, side by side.  It must end
+    every row exactly where scipy's own ``"L-BFGS-B"`` method ends that
+    row's problem alone, handed the same (value, gradient) callable with
+    ``jac=True``: same bytes of ``x``, same ``fun``, ``nit``, ``nfev`` and
+    ``success``.  This is the guard on the private kernel it calls and on
+    keeping each row's kernel state its own."""
 
     @staticmethod
-    def assert_runs_match(fg, x0, options):
-        want = scipy.optimize.minimize(fg, x0, method="L-BFGS-B", jac=True, options=options)
-        got = scipy.optimize.minimize(fg, x0, method=ncprob_eur._lbfgsb, options=options)
-        assert got.x.tobytes() == want.x.tobytes()
-        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
-        assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev, want.success)
+    def assert_rows_match(stacked, fg, x0s, options, cap=None):
+        with pytest.MonkeyPatch.context() as m:
+            if cap is not None:
+                m.setattr(ncprob_eur, "MAX_STACK_ROWS", cap)
+            got = scipy.optimize.minimize(
+                stacked, x0s.ravel(), method=ncprob_eur._lbfgsb, options={**options, "rows": len(x0s)}
+            )
+        for k, x0 in enumerate(x0s):
+            want = scipy.optimize.minimize(fg, x0, method="L-BFGS-B", jac=True, options=options)
+            assert got.x[k].tobytes() == want.x.tobytes()
+            assert np.float64(got.fun[k]).tobytes() == np.float64(want.fun).tobytes()
+            assert (got.nit[k], got.nfev[k], got.success[k]) == (want.nit, want.nfev, want.success)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 12),
+        rows=st.integers(1, 8),
+        cap=st.integers(1, 8),
         maxiter=st.integers(1, 200),
         log_ftol=st.floats(-15.0, -3.0),
         log_gtol=st.floats(-12.0, -3.0),
     )
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-    def test_matches_scipy_on_smooth_objectives(self, seed, n, maxiter, log_ftol, log_gtol):
+    def test_matches_scipy_on_smooth_objectives(self, seed, n, rows, cap, maxiter, log_ftol, log_gtol):
         rng = np.random.default_rng(seed)
         fg = _smooth_objective(rng, n)
-        x0 = 3.0 * rng.standard_normal(n)
-        self.assert_runs_match(fg, x0, {"maxiter": maxiter, "ftol": 10.0**log_ftol, "gtol": 10.0**log_gtol})
+        x0s = 3.0 * rng.standard_normal((rows, n))
+        options = {"maxiter": maxiter, "ftol": 10.0**log_ftol, "gtol": 10.0**log_gtol}
+        self.assert_rows_match(lambda xs: tuple(zip(*map(fg, xs))), fg, x0s, options, cap)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(2, 12),
         haar=st.booleans(),
         merged=st.booleans(),
+        rows=st.integers(1, 8),
         maxiter=st.integers(1, 300),
         tol=st.sampled_from([1e-3, 1e-8, 1e-12]),
     )
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-    def test_matches_scipy_on_the_entropy_objective(self, seed, d, haar, merged, maxiter, tol):
+    def test_matches_scipy_on_the_entropy_objective(self, seed, d, haar, merged, rows, maxiter, tol):
         rng = np.random.default_rng(seed)
         a, b = fourier_pair(d)
         if haar:
@@ -745,9 +845,9 @@ class TestLbfgsbKernelLoop:
             if merged
             else (singleton_partition(a), singleton_partition(b))
         )
-        fg = captured_objective(pytest.MonkeyPatch(), a, b, eps, delta)
+        stacked = captured_objective(pytest.MonkeyPatch(), a, b, eps, delta)
         options = {"maxiter": maxiter, "ftol": max(tol * 1e-6, 2.3e-16), "gtol": 1e-10}
-        self.assert_runs_match(fg, rng.standard_normal(2 * d), options)
+        self.assert_rows_match(stacked, one_row(stacked), rng.standard_normal((rows, 2 * d)), options)
 
 
 class TestCertification:
