@@ -1,8 +1,20 @@
 """Exception hierarchy for ncprob.
 
-Every error raised deliberately by this package derives from
-:class:`NcprobError`, so callers can catch the whole family with one
-clause while still being able to branch on the semantic subtype.
+The classes below name what was wrong with the input: a map outside its
+domain, a null event, mismatched dimensions, a failed precondition, a
+broken algebra, a partition that does not fit, or an invalid scenario
+file.  All derive from :class:`NcprobError`, so callers can catch the
+family with one clause while still being able to branch on the semantic
+subtype.
+
+Everything else this package raises deliberately is a built-in type.  A
+malformed value, given to a constructor (a matrix that is not Hermitian,
+weights that do not sum to 1, an invalid ``OptimizerConfig``) or to a
+function (``trials`` below 1, a Born weight below ``-DENSITY_TOL``),
+raises ``ValueError``, and a value of the wrong type ``TypeError``.
+``describe_task`` raises ``KeyError`` for an unknown task, and
+``eur._overlap_bounds`` raises ``ArithmeticError`` for a projector overlap
+above 1 beyond rounding, which no valid input reaches.
 """
 
 

@@ -24,13 +24,14 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .classical import Distribution, shannon_entropy
-from .errors import PartitionError
+from .errors import DimensionError, PartitionError
 from .hilbert import (
     EIGENVALUE_TOL,
     PVM,
@@ -98,12 +99,10 @@ class SpectrumPartition:
         """Split ``values`` at the given thresholds: one cell per occupied
         half-open bin (v <= t_1 < v <= t_2 < ...)."""
         vals = sorted(float(v) for v in values)
-        ts = sorted(float(t) for t in thresholds)
-        bins: dict[int, list[float]] = {}
-        for v in vals:
-            k = sum(1 for t in ts if v > t)
-            bins.setdefault(k, []).append(v)
-        return cls(SpectralCell(g) for g in bins.values())
+        ts = np.sort([float(t) for t in thresholds])
+        # the number of thresholds below each value (none is below a NaN: v > t is false)
+        bins = np.where(np.isnan(vals), 0, np.searchsorted(ts, vals))
+        return cls(SpectralCell(np.compress(bins == k, vals)) for k in dict.fromkeys(bins.tolist()))
 
     def ground_values(self) -> tuple:
         return tuple(sorted(v for c in self.cells for v in c.values))
@@ -207,7 +206,7 @@ def _decompose(a, b, eps, delta) -> tuple:
     """(W_A, idx_A, W_B, idx_B): each operator's one decomposition, shared
     by the bounds and the minimiser."""
     if a.dim != b.dim:
-        raise PartitionError(f"operator dims differ: {a.dim} vs {b.dim}")
+        raise DimensionError(f"operator dims differ: {a.dim} vs {b.dim}")
     return (*_partition_isometries(a, eps), *_partition_isometries(b, delta))
 
 
@@ -276,28 +275,35 @@ def partovi_bound(
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the multi-start entropy-sum minimiser."""
+    """Settings for the multi-start entropy-sum minimiser, checked where
+    they are built (also by ``dataclasses.replace``): ``restarts`` and
+    ``max_iters`` are ints >= 1, ``seed`` an int >= 0 and ``tol`` a finite
+    number > 0, else ``ValueError``."""
 
     restarts: int = 32
     max_iters: int = 500
     tol: float = 1e-8
     seed: int = DEFAULT_OPTIMIZER_SEED
 
+    def __post_init__(self):
+        for field, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{field} must be an int >= {least}, got {value!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) or not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
+
 
 @dataclass(frozen=True)
 class MinEntropyResult:
     """Best entropy sum found, with the evidence needed to reproduce it.
 
-    Iterating yields ``(value, state)`` so the result unpacks like a pair.
     ``value`` is the exact entropy sum of ``state``, except that a sum
     within 1e-12 of 0.0 ties with 0.0 and reads 0.0, so it never falls
     more than 1e-12 below the true infimum.  ``evaluations`` holds each
-    restart's objective evaluations (value and gradient together; each is
-    one row of one call of the stacked objective that the certification's
-    one ``minimize`` call hands to the kernel loop) and
-    ``iterations_per_restart`` its L-BFGS-B iterations, both as the kernel
-    loop counted them for that restart's row; ``restarts`` is their length
-    and ``iterations`` their sum.
+    restart's objective evaluations (value and gradient together) and
+    ``iterations_per_restart`` its L-BFGS-B iterations; ``restarts`` is
+    their length and ``iterations`` their sum.
     """
 
     value: float
@@ -308,9 +314,6 @@ class MinEntropyResult:
     evaluations: tuple
     iterations_per_restart: tuple
 
-    def __iter__(self):
-        return iter((self.value, self.state))
-
     @property
     def restarts(self) -> int:
         return len(self.evaluations)
@@ -318,18 +321,6 @@ class MinEntropyResult:
     @property
     def iterations(self) -> int:
         return sum(self.iterations_per_restart)
-
-
-def _checked(opt: OptimizerConfig | None) -> OptimizerConfig:
-    opt = opt or OptimizerConfig()
-    for field, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-        value = getattr(opt, field)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{field} must be an int >= {least}, got {value!r}")
-    tol = opt.tol
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    return opt
 
 
 def min_entropy_sum(
@@ -347,22 +338,15 @@ def min_entropy_sum(
     exact gradient of the entropy sum along that sphere with its value.
     One evaluation is one real 4d x 2d product forward, from z to the real
     and imaginary parts of both operators' eigenbasis amplitudes, and its
-    transpose back.  L-BFGS-B runs as scipy's C kernel ``setulb`` under
-    ncprob's own loop, handed to ``scipy.optimize.minimize`` as a custom
-    method together with one callable returning the values and gradients
-    of a stack of points.  The restarts run side by side, one row each with
-    its own kernel state, and the rows that ask for a new point in a round
-    are evaluated as one stack, each with the bits it would get alone.  So
-    a certification is one ``minimize`` call and every evaluation is one
-    row of one call of that callable, where outside counters see it.  The
-    result's evaluation and iteration counts are read from the loop.
+    transpose back.  All restarts go to one ``scipy.optimize.minimize``
+    call, and each evaluation is one row of one call of the callable handed
+    to it (see ``_lbfgsb``).
     Restarts are drawn from ``default_rng(opt.seed)`` and merged by
     lowest value; end values within 1e-12 relative of the lowest tie, and
     the lowest restart index wins, so the result is deterministic for a
     fixed config and does not hinge on rounding among equal optima.
     """
-    opt = _checked(opt)
-    return _min_entropy_sum(*_decompose(a, b, eps, delta), opt)
+    return _min_entropy_sum(*_decompose(a, b, eps, delta), opt or OptimizerConfig())
 
 
 def _lbfgsb_row(x, maxiter, factr, gtol):
@@ -419,8 +403,9 @@ def _lbfgsb(fun, x0, *, maxiter, ftol, gtol, rows, **_):
     Each row steps until it asks for f and g at a new point or stops.  The
     rows that asked then go to ``fun`` as one stack, a 2-d array with one
     point per row, and ``fun`` returns their values and gradients, one per
-    row; so every evaluation is one row of one call of ``fun``, and a row's
-    ``nfev`` counts its rows.  A row that stops leaves the stack while the
+    row; so every evaluation is one row of one call of ``fun``, where
+    counters wrapped around ``minimize`` see it, and a row's ``nfev``
+    counts its rows.  A row that stops leaves the stack while the
     others go on.  At most ``MAX_STACK_ROWS`` rows hold kernel state at
     once; each row that stops makes room for the next.  The result holds
     one entry per row: ``x`` of shape (rows, n), and ``fun``, ``nit``,
@@ -430,7 +415,7 @@ def _lbfgsb(fun, x0, *, maxiter, ftol, gtol, rows, **_):
     from scipy.optimize import OptimizeResult
 
     x = np.array(x0, dtype=np.float64).reshape(rows, -1)
-    factr = ftol / np.finfo(float).eps
+    factr = float(ftol) / sys.float_info.epsilon  # inf, not an overflow warning, for a huge ftol
     ends = [None] * rows
     queued = iter(range(rows))
     live, asks = {}, {}  # row -> its loop, and the point it asks f and g at
@@ -469,17 +454,9 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
     projected out.
 
     All restarts go to one ``scipy.optimize.minimize`` call with
-    ``method=_lbfgsb`` and ``rows=opt.restarts``, handed ``stacked``, which
-    returns the values and gradients of a stack of points, one row per
-    restart that asks; ``minimize`` passes it and the options straight to
-    ``_lbfgsb``.  So every evaluation is one row of one call of the
-    callable handed to ``minimize``, which is where outside counters see
-    it, and the per-restart evaluation and iteration counts are the kernel
-    loop's own per-row ``nfev`` and ``nit``.  ``stacked`` gives each row
-    the bits ``objective`` gives that point alone: it makes one BLAS gemv
-    per row, as ``objective`` does (one GEMM over the stack rounds
-    differently), and it hands a one-row stack, or one holding a point
-    near 0, to ``objective`` itself.
+    ``method=_lbfgsb`` and ``rows=opt.restarts``, handed ``stacked``;
+    ``minimize`` passes it and the options straight to ``_lbfgsb``, whose
+    per-row ``nfev`` and ``nit`` are the restarts' counts.
     """
     from scipy.optimize import minimize  # 0.4-0.75 s to import; most runs never optimise
 
@@ -509,7 +486,11 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
 
     def stacked(zs: np.ndarray) -> tuple:
         """``objective`` on each row of zs (at most ``MAX_STACK_ROWS``):
-        (values, gradients), one per row."""
+        (values, gradients), one per row, each with the bits ``objective``
+        gives that point alone.  So it makes one BLAS gemv per row, as
+        ``objective`` does (one GEMM over the stack rounds differently),
+        and hands a one-row stack, or one holding a point near 0, to
+        ``objective`` itself."""
         if len(zs) == 1:  # the common tail of a run; the stacked form costs more on one row
             value, grad = objective(zs[0])
             return (value,), (grad,)
@@ -630,6 +611,6 @@ def certify_noncommutativity(
         partitions=(eps, delta),
         maassen_uffink=mu,
         partovi=pv,
-        optimizer_evidence=_min_entropy_sum(*pair, _checked(opt)),
+        optimizer_evidence=_min_entropy_sum(*pair, opt or OptimizerConfig()),
         commutator_norm=commutator_norm(a, b),
     )

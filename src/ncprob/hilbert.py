@@ -61,15 +61,16 @@ COMM_TOL = 1e-9
 #: for matching partition values to a spectrum (see :func:`_scaled`).
 EIGENVALUE_TOL = 1e-8
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-for _m in (_PAULI_X, _PAULI_Y, _PAULI_Z):
-    _m.setflags(write=False)
 
-PAULI_X = _PAULI_X
-PAULI_Y = _PAULI_Y
-PAULI_Z = _PAULI_Z
+def _frozen(arr) -> np.ndarray:
+    out = np.array(arr, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+PAULI_X = _frozen([[0, 1], [1, 0]])
+PAULI_Y = _frozen([[0, -1j], [1j, 0]])
+PAULI_Z = _frozen([[1, 0], [0, -1]])
 
 
 def fourier_unitary(dim: int) -> np.ndarray:
@@ -115,12 +116,6 @@ def commutator_norm(a, b) -> float:
     return operator_norm(ma @ mb - mb @ ma)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 def _scaled(tol: float, values) -> float:
     """``tol`` relative to the largest |value| in ``values``, absolute below 1."""
     return tol * max(1.0, float(np.abs(values).max()))
@@ -149,9 +144,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def norm(self) -> float:
-        return operator_norm(self.matrix)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -423,14 +415,10 @@ def apply_function(f, op: HermitianOperator) -> HermitianOperator:
 
 def _evaluate(f, x: float) -> float:
     if isinstance(f, Mapping):
-        best = None
-        for key, val in f.items():
-            gap = abs(float(key) - x)
-            if best is None or gap < best[0]:
-                best = (gap, val)
-        if best is None or best[0] > 1e-6:
+        key = min(f, key=lambda k: abs(float(k) - x), default=None)  # the first of equal gaps
+        if key is None or abs(float(key) - x) > 1e-6:
             raise DomainError(f"no table entry within 1e-6 of eigenvalue {x!r}")
-        return float(best[1])
+        return float(f[key])
     return float(f(x))
 
 

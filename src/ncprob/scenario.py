@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import construct, eur, hilbert
+from . import __version__, construct, eur, hilbert
 from .classical import (
     DEFAULT_LLN_SEED,
     Distribution,
@@ -42,7 +42,7 @@ from .classical import (
     pushforward,
     shannon_entropy,
 )
-from .errors import ScenarioError
+from .errors import PartitionError, ScenarioError
 from .eur import OptimizerConfig, SpectrumPartition
 from .hilbert import DensityOperator, PureState
 
@@ -63,13 +63,7 @@ MAX_RESTARTS = 1024
 
 #: What the model constructors raise on a malformed value (OverflowError:
 #: an integer literal beyond the float range).
-_BAD_VALUE = (ValueError, TypeError, OverflowError)
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
+_BAD_VALUE = (ValueError, TypeError, OverflowError, PartitionError)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +376,7 @@ def load_scenario(path) -> Scenario:
         where = f"partitions.{pname}"
         if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
             raise ScenarioError("must be a list of value groups", field=where)
-        try:
-            partitions[pname] = SpectrumPartition.from_groups(groups)
-        except Exception as exc:
-            raise ScenarioError(str(exc), field=where) from None
+        partitions[pname] = _make(where, SpectrumPartition.from_groups, groups)
 
     contexts = {}
     for cname, members in doc.get("contexts", {}).items():
@@ -513,7 +504,7 @@ def _run_build_pair(scenario, args, opt):
     return {
         "t_x": tx.matrix,
         "t_y": ty.matrix,
-        "spectrum_y": np.sort(ty.eigenvalues()),
+        "spectrum_y": ty.eigenvalues(),
         "commutator_norm": hilbert.commutator_norm(tx, ty),
     }
 
@@ -938,7 +929,7 @@ def execute_scenario(scenario: Scenario, seed_override: int | None = None) -> tu
         results.append(entry)
     report = {
         "tool": TOOL_NAME,
-        "version": _tool_version(),
+        "version": __version__,
         "scenario": scenario.name,
         "seed": opt.seed,
         "results": results,

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from helpers import (
     singleton_partition,
 )
 from ncprob import (
+    DimensionError,
     Distribution,
     HermitianOperator,
     OptimizerConfig,
@@ -42,7 +45,7 @@ from ncprob import (
 )
 import ncprob.eur as ncprob_eur
 from ncprob.eur import CERTIFICATION_THRESHOLD
-from ncprob.hilbert import PAULI_X, PAULI_Z
+from ncprob.hilbert import PAULI_X, PAULI_Z, fourier_unitary
 
 PAULI_PARTOVI = 2.0 * math.log(2.0 / (1.0 + 1.0 / math.sqrt(2.0)))
 
@@ -74,6 +77,32 @@ class TestSpectrumPartition:
     def test_from_thresholds(self):
         p = SpectrumPartition.from_thresholds([1.0, 2.0, 3.0, 4.0], [2.5])
         assert [c.values for c in p.cells] == [(1.0, 2.0), (3.0, 4.0)]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        values=st.lists(st.one_of(st.floats(), st.integers(-4, 4), st.just("x")), max_size=8),
+        thresholds=st.lists(st.one_of(st.floats(), st.integers(-4, 4), st.just("x")), max_size=4),
+    )
+    @example(values=[4, 1, 3, 2, 5], thresholds=[4.0, 0.0, 2.0, 2.5])
+    @example(values=[2.0, 1.0], thresholds=[])
+    @example(values=[], thresholds=[1.0])
+    @example(values=[1.0, math.nan, 5.0], thresholds=[2.0])
+    def test_from_thresholds_matches_the_per_value_loop(self, values, thresholds):
+        def loop(values, thresholds):
+            vals = sorted(float(v) for v in values)
+            ts = sorted(float(t) for t in thresholds)
+            bins = {}
+            for v in vals:
+                bins.setdefault(sum(1 for t in ts if v > t), []).append(v)
+            return SpectrumPartition(SpectralCell(g) for g in bins.values())
+
+        def outcome(build):
+            try:  # NaN != NaN, so cells compare by repr
+                return repr([c.values for c in build(iter(values), iter(thresholds)).cells])
+            except (PartitionError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(SpectrumPartition.from_thresholds) == outcome(loop)
 
     def test_is_finer_chain(self):
         fine = SpectrumPartition.singletons([1.0, 2.0, 3.0, 4.0])
@@ -137,6 +166,26 @@ class TestPartitionProbabilities:
         rho = density_from_distribution(Distribution.uniform([1.0, 2.0]), pvm)
         with pytest.raises(PartitionError):
             partition_probabilities(rho, pvm, SpectrumPartition.singletons([1.0]))
+
+    @pytest.mark.parametrize("route", ["epsilon_entropy", "partition_probabilities", "certify_noncommutativity"])
+    def test_a_spectral_cell_may_not_straddle_partition_cells(self, route):
+        # 0 and 9e-9 are one computed eigenvalue (clustering tolerance 1e-8).
+        # Each matches one partition cell, -9e-9 and 1.8e-8, but not the same one.
+        spectrum = [0.0, 9e-9, 1.0]
+        a = HermitianOperator(np.diag(spectrum))
+        part = SpectrumPartition.from_groups([[-9e-9], [1.8e-8], [1.0]])
+        psi = PureState(np.ones(3) / math.sqrt(3.0))
+        u = fourier_unitary(3)
+        b = HermitianOperator(u @ a.matrix @ u.conj().T)
+        runs = {
+            "epsilon_entropy": lambda: epsilon_entropy(psi, a, part),
+            "partition_probabilities": lambda: partition_probabilities(psi, spectral_pvm(a), part),
+            "certify_noncommutativity": lambda: certify_noncommutativity(
+                a, b, part, part, OptimizerConfig(restarts=1, max_iters=1)
+            ),
+        }
+        with pytest.raises(PartitionError, match=r"^spectral cell \(0\.0, 9e-09\) straddles partition cells; "):
+            runs[route]()
 
 
 class TestEpsilonEntropy:
@@ -472,10 +521,20 @@ class TestMinEntropySum:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            OptimizerConfig(restarts=4, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            dataclasses.replace(OptimizerConfig(restarts=4), tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e300, sys.float_info.max])
+    def test_a_huge_tol_runs_without_a_warning(self, tol):
+        # L-BFGS-B's factr = ftol / eps is inf here; it must not warn on the way
         a, b = fourier_pair(4)
         part = SpectrumPartition.singletons(range(1, 5))
-        with pytest.raises(ValueError, match="tol"):
-            min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=4, tol=tol))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = min_entropy_sum(a, b, part, part, OptimizerConfig(restarts=2, max_iters=30, tol=tol))
+        assert res.value >= math.log(4) - 1e-4
 
     @pytest.mark.parametrize(
         "field, value",
@@ -495,12 +554,10 @@ class TestMinEntropySum:
         ],
     )
     def test_counts_and_seed_must_be_ints_in_range(self, field, value):
-        a, b = fourier_pair(4)
-        part = SpectrumPartition.singletons(range(1, 5))
-        opt = dataclasses.replace(OptimizerConfig(restarts=4), **{field: value})
-        for run in (min_entropy_sum, certify_noncommutativity):
-            with pytest.raises(ValueError, match=field):
-                run(a, b, part, part, opt)
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{"restarts": 4, field: value})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(OptimizerConfig(restarts=4), **{field: value})
 
     def test_numpy_integer_counts_and_seed_are_accepted(self):
         a, b = fourier_pair(4)
@@ -931,15 +988,29 @@ class TestCertification:
         assert len(calls) == 2
 
     def test_partition_errors_come_before_optimizer_errors(self):
+        # an invalid config cannot be built, so a run meets only the
+        # operator and partition errors, the same at both entry points
         a, b = fourier_pair(4)
         part = SpectrumPartition.singletons(range(1, 5))
-        bad = OptimizerConfig(restarts=0)
-        with pytest.raises(PartitionError, match="dims differ"):
-            certify_noncommutativity(a, HermitianOperator(PAULI_Z), part, PM, bad)
-        with pytest.raises(PartitionError, match="absent"):
-            certify_noncommutativity(a, b, SpectrumPartition.singletons(range(1, 6)), part, bad)
         with pytest.raises(ValueError, match="restarts"):
-            certify_noncommutativity(a, b, part, part, bad)
+            OptimizerConfig(restarts=0)
+        opt = OptimizerConfig(restarts=1, max_iters=1)
+        for run in (min_entropy_sum, certify_noncommutativity):
+            with pytest.raises(DimensionError, match="dims differ"):
+                run(a, HermitianOperator(PAULI_Z), part, PM, opt)
+            with pytest.raises(PartitionError, match="absent"):
+                run(a, b, SpectrumPartition.singletons(range(1, 6)), part, opt)
+
+    @pytest.mark.parametrize(
+        "route", [maassen_uffink_bound, partovi_bound, min_entropy_sum, certify_noncommutativity]
+    )
+    def test_operators_of_different_dimension_are_a_dimension_error(self, route):
+        a, _ = fourier_pair(4)
+        part = SpectrumPartition.singletons(range(1, 5))
+        with pytest.raises(DimensionError, match="^operator dims differ: 4 vs 2$"):
+            route(a, HermitianOperator(PAULI_Z), part, PM)
+        with pytest.raises(DimensionError, match="^operator dims differ: 2 vs 4$"):
+            route(HermitianOperator(PAULI_Z), a, PM, part)
 
     def test_verdict_is_read_from_the_bounds(self):
         a, b = pauli_pair()

@@ -375,6 +375,13 @@ class TestApplyFunction:
         op = HermitianOperator(np.diag([1.0, 3.0]))
         with pytest.raises(DomainError):
             apply_function({1.0: 10.0}, op)
+        with pytest.raises(DomainError, match="no table entry within 1e-6 of eigenvalue 1.0"):
+            apply_function({}, op)
+
+    def test_mapping_takes_the_nearest_key_and_the_first_of_equal_gaps(self):
+        op = HermitianOperator(np.diag([1.0, 2.0]))
+        out = apply_function({1.0 + 4e-7: 10.0, 1.0 + 2e-7: 11.0, 2.0: 20.0, "2": 30.0}, op)
+        assert np.diag(out.matrix).real.tolist() == [11.0, 20.0]
 
 
 class TestSpectralMeasure:

@@ -707,7 +707,7 @@ def _has_near_pair(support) -> bool:
     return float(np.diff(support).min()) <= 2 * EIGENVALUE_TOL * max(1.0, float(np.abs(support).max()))
 
 
-def _bound_scenario(d, law_x, law_y, cells_x, cells_y, unitary) -> dict:
+def _bound_scenario(d, law_x, law_y, cells_x, cells_y, unitary, optimizer=None) -> dict:
     """The four bound tasks on T_X = diag(x) and T_Y = U diag(y) U*."""
     pair = {"dist_x": "x", "dist_y": "y"}
     return {
@@ -716,7 +716,7 @@ def _bound_scenario(d, law_x, law_y, cells_x, cells_y, unitary) -> dict:
         "distributions": {"x": law_x, "y": law_y},
         "unitary": unitary,
         "partitions": {"eps": cells_x, "delta": cells_y},
-        "optimizer": {"restarts": 2, "max_iters": 60},
+        "optimizer": optimizer or {"restarts": 2, "max_iters": 60},
         "tasks": [
             {"task": task, "args": {**pair, "eps": "eps", "delta": "delta"} if task in ("partovi_bound", "certify") else pair}
             for task in _BOUND_TASKS
@@ -728,8 +728,9 @@ def _bound_scenario(d, law_x, law_y, cells_x, cells_y, unitary) -> dict:
 def _bound_scenarios(draw):
     """Valid bound scenarios: d = 2..5, supports of distinct integers scaled
     by 1e-3..1e6 (in about 30 % of laws two values 1e-12..1e-9 relative
-    apart), random coarsenings as partitions, and identity, Fourier or Haar
-    unitaries."""
+    apart), random coarsenings as partitions, identity, Fourier or Haar
+    unitaries, and any valid optimizer section with 1..3 restarts of at most
+    60 iterations (tol up to the largest float, seed up to 2**64 - 1)."""
     d = draw(st.integers(2, 5), label="d")
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6]), label="scale")
 
@@ -750,7 +751,13 @@ def _bound_scenarios(draw):
         unitary = {"kind": "explicit", "entries": [[[z.real, z.imag] for z in row] for row in u.tolist()]}
     else:
         unitary = {"kind": kind}
-    return _bound_scenario(d, law_x, law_y, cells_x, cells_y, unitary)
+    optimizer = {
+        "restarts": draw(st.integers(1, 3), label="restarts"),
+        "max_iters": draw(st.integers(1, 60), label="max_iters"),
+        "tol": draw(st.floats(1e-300, sys.float_info.max), label="tol"),
+        "seed": draw(st.integers(0, 2**64 - 1), label="seed"),
+    }
+    return _bound_scenario(d, law_x, law_y, cells_x, cells_y, unitary, optimizer)
 
 
 def _failed_tasks(doc) -> list:
@@ -965,6 +972,12 @@ class TestProcessEntry:
         proc = run_cli("run", str(failing), "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 3, proc.stderr
         assert json.loads((tmp_path / "r.json").read_text())["results"][0]["status"] == "error"
+
+    def test_a_huge_tol_runs_with_an_empty_stderr(self, tmp_path):
+        payload = copy.deepcopy(MINIMAL)
+        payload["optimizer"] = {"restarts": 2, "max_iters": 60, "tol": 1e300}
+        proc = run_cli("run", str(write_scenario(tmp_path, payload)), "--out", str(tmp_path / "r.json"))
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_in_process_main_leaves_the_collector_alone(self, tmp_path):
         before = gc.isenabled(), gc.get_freeze_count()
