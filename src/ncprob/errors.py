@@ -13,7 +13,7 @@ weights that do not sum to 1, an invalid ``OptimizerConfig``) or to a
 function (``trials`` below 1, a Born weight below ``-DENSITY_TOL``),
 raises ``ValueError``, and a value of the wrong type ``TypeError``.
 ``describe_task`` raises ``KeyError`` for an unknown task, and
-``eur._overlap_bounds`` raises ``ArithmeticError`` for a projector overlap
+``eur._overlap`` raises ``ArithmeticError`` for a projector overlap
 above 1 beyond rounding, which no valid input reaches.
 """
 

@@ -14,7 +14,9 @@ shape are normed in one call, so the table costs O(d^3).  A certification
 decomposes each operator once and shares it between the bounds and the
 minimiser.
 
-A certificate's verdict rests on the analytic bounds alone.  The numeric
+A certificate stores c and reads both bounds from it.  Its verdict rests
+on Maassen-Uffink alone: 2/(1 + c) <= 1/c for c <= 1, so the projector-sum
+bound never exceeds it, and is reported but never decides.  The numeric
 infimum is corroborating evidence and the commutator norm is an
 independent cross-check; neither feeds the verdict.
 """
@@ -99,9 +101,7 @@ class SpectrumPartition:
         """Split ``values`` at the given thresholds: one cell per occupied
         half-open bin (v <= t_1 < v <= t_2 < ...)."""
         vals = sorted(float(v) for v in values)
-        ts = np.sort([float(t) for t in thresholds])
-        # the number of thresholds below each value (none is below a NaN: v > t is false)
-        bins = np.where(np.isnan(vals), 0, np.searchsorted(ts, vals))
+        bins = np.searchsorted(np.sort([float(t) for t in thresholds]), vals)  # the thresholds below each value
         return cls(SpectralCell(np.compress(bins == k, vals)) for k in dict.fromkeys(bins.tolist()))
 
     def ground_values(self) -> tuple:
@@ -220,8 +220,8 @@ def _cell_blocks(idx: np.ndarray) -> list[np.ndarray]:
     return [order[starts[widths == w][:, None] + np.arange(w)] for w in np.flatnonzero(np.bincount(widths))]
 
 
-def _overlap_bounds(wa, idx_a, wb, idx_b) -> tuple[float, float]:
-    """(Maassen-Uffink, Partovi) from the largest cell-pair overlap c:
+def _overlap(wa, idx_a, wb, idx_b) -> float:
+    """The largest cell-pair overlap c = max ||P_i Q_j||, clamped to 1:
     ||P_i Q_j|| is the spectral norm of the (i, j) cell block of the
     overlap table W_A* W_B, so no d x d projector is formed.  The blocks
     of one shape are gathered into one stack and normed in one call."""
@@ -233,8 +233,15 @@ def _overlap_bounds(wa, idx_a, wb, idx_b) -> tuple[float, float]:
             c = max(c, float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max()))
     if c > 1.0 + 1e-8:
         raise ArithmeticError(f"projector overlap {c!r} exceeds 1 beyond tolerance")
-    c = min(c, 1.0)
-    return -2.0 * math.log(c) + 0.0, 2.0 * math.log(2.0 / (1.0 + c))  # + 0.0: no -0.0
+    return min(c, 1.0)
+
+
+def _maassen_uffink(c: float) -> float:
+    return -2.0 * math.log(c) + 0.0  # + 0.0: no -0.0
+
+
+def _partovi(c: float) -> float:
+    return 2.0 * math.log(2.0 / (1.0 + c))
 
 
 def maassen_uffink_bound(
@@ -250,7 +257,7 @@ def maassen_uffink_bound(
     overlap |<phi_a|psi_b>|).  With partitions the projectors are first
     coarse-grained, which can only lower the bound.
     """
-    return _overlap_bounds(*_decompose(a, b, eps, delta))[0]
+    return _maassen_uffink(_overlap(*_decompose(a, b, eps, delta)))
 
 
 def partovi_bound(
@@ -263,10 +270,11 @@ def partovi_bound(
     2 ln(2/s) with s the largest eigenvalue of any P_i + Q_j.
 
     s = 1 + c with c the Maassen-Uffink overlap, as ||P + Q|| = 1 + ||P Q||
-    for orthogonal projections.  Since c <= 1, 2/(1 + c) <= 1/c, so this never
-    exceeds Maassen-Uffink; both are 0 when a cell pair shares an eigenvector.
+    for orthogonal projections, so this is Deutsch's bound (PRL 50, 631,
+    1983).  Since c <= 1, 2/(1 + c) <= 1/c, so this never exceeds
+    Maassen-Uffink; both are 0 when a cell pair shares an eigenvector.
     """
-    return _overlap_bounds(*_decompose(a, b, eps, delta))[1]
+    return _partovi(_overlap(*_decompose(a, b, eps, delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +298,8 @@ class OptimizerConfig:
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{field} must be an int >= {least}, got {value!r}")
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) or not (math.isfinite(self.tol) and self.tol > 0):
+        # an int beyond the float range is not finite here: it has no float
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) or not 0 < self.tol <= sys.float_info.max:
             raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
 
 
@@ -547,15 +556,17 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
 class EURCertificate:
     """Outcome of an uncertainty-based non-commutativity check.
 
-    The verdict is ``"noncommuting"`` exactly when one of the analytic
-    bounds exceeds the threshold; the optimizer evidence and commutator
-    norm are recorded for cross-checking but never drive the verdict.
+    It stores the largest cell-pair overlap c, and both analytic bounds
+    are read from it: ``maassen_uffink`` = -2 ln c decides, and
+    ``partovi`` = 2 ln(2/(1 + c)) never exceeds it, so it is reported and
+    never decides.  The verdict is ``"noncommuting"`` exactly when
+    ``maassen_uffink`` exceeds the threshold; the optimizer evidence and
+    commutator norm are recorded for cross-checking but never drive it.
     """
 
     operator_names: tuple
     partitions: tuple
-    maassen_uffink: float
-    partovi: float
+    overlap: float
     optimizer_evidence: MinEntropyResult
     commutator_norm: float
 
@@ -564,12 +575,12 @@ class EURCertificate:
             raise ValueError(f"negative entropy infimum {self.numeric_infimum!r}")
 
     @property
-    def analytic_bounds(self) -> dict:
-        return {"maassen_uffink": self.maassen_uffink, "partovi": self.partovi}
+    def maassen_uffink(self) -> float:
+        return _maassen_uffink(self.overlap)
 
     @property
-    def best_analytic(self) -> float:
-        return max(self.maassen_uffink, self.partovi)
+    def partovi(self) -> float:
+        return _partovi(self.overlap)
 
     @property
     def threshold(self) -> float:
@@ -577,7 +588,7 @@ class EURCertificate:
 
     @property
     def verdict(self) -> str:
-        return "noncommuting" if self.best_analytic > self.threshold else "inconclusive"
+        return "noncommuting" if self.maassen_uffink > self.threshold else "inconclusive"
 
     @property
     def numeric_infimum(self) -> float:
@@ -585,7 +596,7 @@ class EURCertificate:
 
     @property
     def infimum_consistent(self) -> bool:
-        return self.numeric_infimum >= self.best_analytic - 1e-4
+        return self.numeric_infimum >= self.maassen_uffink - 1e-4
 
 
 def certify_noncommutativity(
@@ -597,20 +608,19 @@ def certify_noncommutativity(
     operator_names: tuple = ("A", "B"),
 ) -> EURCertificate:
     """Assemble an :class:`EURCertificate` for the pair at the given
-    partitions.  The verdict is ``"noncommuting"`` when either analytic
-    bound exceeds ``CERTIFICATION_THRESHOLD``.
+    partitions.  The verdict is ``"noncommuting"`` when the Maassen-Uffink
+    bound exceeds ``CERTIFICATION_THRESHOLD``; the Partovi bound, which
+    never exceeds it, is reported and never decides.
 
-    Both analytic bounds are computed at the partition level, so the
-    verdict inherits their partition dependence: a coarse partition can
-    leave a genuinely non-commuting pair ``"inconclusive"``.
+    The overlap is taken at the partition level, so the verdict inherits
+    its partition dependence: a coarse partition can leave a genuinely
+    non-commuting pair ``"inconclusive"``.
     """
     pair = _decompose(a, b, eps, delta)
-    mu, pv = _overlap_bounds(*pair)
     return EURCertificate(
         operator_names=tuple(operator_names),
         partitions=(eps, delta),
-        maassen_uffink=mu,
-        partovi=pv,
+        overlap=_overlap(*pair),
         optimizer_evidence=_min_entropy_sum(*pair, opt or OptimizerConfig()),
         commutator_norm=commutator_norm(a, b),
     )

@@ -208,7 +208,8 @@ class PureState:
 
 @dataclass(frozen=True, init=False)
 class SpectralCell:
-    """A non-empty set of real eigenvalues grouped into one measurement cell.
+    """A non-empty set of finite real eigenvalues grouped into one
+    measurement cell.
 
     ``representative`` is the cell minimum — distinct for disjoint cells,
     so it can serve as a real-valued label.  ``mean`` is the value used
@@ -221,6 +222,8 @@ class SpectralCell:
         vals = tuple(sorted(as_real(v) for v in values))
         if not vals:
             raise ValueError("a spectral cell must contain at least one value")
+        if not np.isfinite(vals).all():
+            raise ValueError("spectral cell values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property

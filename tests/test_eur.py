@@ -104,6 +104,13 @@ class TestSpectrumPartition:
 
         assert outcome(SpectrumPartition.from_thresholds) == outcome(loop)
 
+    @pytest.mark.parametrize("values", [[3.0, math.nan, 1.0], [1.0, math.nan, 3.0], [1.0, math.inf, 3.0]])
+    def test_a_non_finite_value_is_rejected_in_any_order(self, values):
+        with pytest.raises(ValueError, match="^spectral cell values must be finite$"):
+            SpectrumPartition.from_thresholds(values, [2.0])
+        with pytest.raises(ValueError, match="^spectral cell values must be finite$"):
+            SpectralCell(values)
+
     def test_is_finer_chain(self):
         fine = SpectrumPartition.singletons([1.0, 2.0, 3.0, 4.0])
         coarse = SpectrumPartition.from_groups([[1.0, 2.0], [3.0, 4.0]])
@@ -519,7 +526,7 @@ class TestMinEntropySum:
         assert res.best_restart == 0
         assert abs(res.value - math.log(d)) <= 1e-12
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, pytest.param(10**400, id="int-beyond-float")])
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tol"):
             OptimizerConfig(restarts=4, tol=tol)
@@ -915,7 +922,7 @@ class TestCertification:
         assert cert.maassen_uffink == pytest.approx(math.log(2.0), abs=1e-9)
         assert cert.partovi == pytest.approx(PAULI_PARTOVI, abs=1e-9)
         assert cert.commutator_norm == pytest.approx(2.0, abs=1e-12)
-        assert cert.best_analytic == pytest.approx(math.log(2.0), abs=1e-9)
+        assert -2.0 * math.log(cert.overlap) == pytest.approx(math.log(2.0), abs=1e-9)
         assert cert.infimum_consistent
 
     def test_pauli_single_cell_partitions_inconclusive(self):
@@ -955,7 +962,7 @@ class TestCertification:
             a, b, PM, PM, OptimizerConfig(restarts=2), operator_names=("Z", "X")
         )
         assert cert.operator_names == ("Z", "X")
-        assert set(cert.analytic_bounds) == {"maassen_uffink", "partovi"}
+        assert (cert.maassen_uffink, cert.partovi) == (maassen_uffink_bound(a, b, PM, PM), partovi_bound(a, b, PM, PM))
 
     def test_soundness_on_random_pairs(self):
         rng = np.random.default_rng(64)
@@ -1016,6 +1023,65 @@ class TestCertification:
         a, b = pauli_pair()
         cert = certify_noncommutativity(a, b, PM, PM, OptimizerConfig(restarts=2))
         assert cert.verdict == "noncommuting"
-        assert dataclasses.replace(cert, maassen_uffink=0.0, partovi=0.0).verdict == "inconclusive"
+        assert dataclasses.replace(cert, overlap=1.0).verdict == "inconclusive"
         with pytest.raises(TypeError):
             dataclasses.replace(cert, verdict="inconclusive")
+
+
+class TestCertificateGuards:
+    """Each guard constant of a certificate, checked on each side."""
+
+    def pauli_cert(self):
+        return certify_noncommutativity(*pauli_pair(), PM, PM, OptimizerConfig(restarts=2))
+
+    def test_partovi_never_exceeds_maassen_uffink(self):
+        cert = self.pauli_cert()
+
+        @given(c=st.floats(0.0, 1.0, exclude_min=True))
+        @example(c=5e-324)
+        @example(c=sys.float_info.min)
+        @example(c=math.nextafter(1.0, 0.0))
+        @example(c=1.0)
+        @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+        def check(c):
+            at = dataclasses.replace(cert, overlap=c)
+            assert at.partovi <= at.maassen_uffink
+
+        check()
+
+    @pytest.mark.parametrize("mu, verdict", [(1.5e-6, "noncommuting"), (0.9e-6, "inconclusive")])
+    def test_the_verdict_reads_maassen_uffink_alone(self, mu, verdict):
+        # at MU = 1.5e-6 Partovi is about 7.5e-7, below the threshold
+        cert = dataclasses.replace(self.pauli_cert(), overlap=math.exp(-mu / 2.0))
+        assert cert.partovi < cert.threshold
+        assert cert.maassen_uffink == pytest.approx(mu, rel=1e-9)
+        assert cert.verdict == verdict
+
+    @pytest.mark.parametrize("excess, clamps", [(5e-9, True), (2e-8, False)])
+    def test_an_overlap_above_1_clamps_only_within_1e_8(self, excess, clamps):
+        one = np.array([[1.0]])
+        at = (np.array([[1.0 + excess]]), np.array([0]), one, np.array([0]))
+        if not clamps:
+            with pytest.raises(ArithmeticError, match="exceeds 1 beyond tolerance"):
+                ncprob_eur._overlap(*at)
+            return
+        cert = dataclasses.replace(self.pauli_cert(), overlap=ncprob_eur._overlap(*at))
+        assert cert.overlap == 1.0
+        assert math.copysign(1.0, cert.maassen_uffink) == 1.0 and cert.maassen_uffink == 0.0
+        assert cert.verdict == "inconclusive"
+
+    @pytest.mark.parametrize("below, consistent", [(0.99e-4, True), (1.01e-4, False)])
+    def test_an_infimum_is_consistent_within_1e_4_below_the_bound(self, below, consistent):
+        cert = self.pauli_cert()
+        evidence = dataclasses.replace(cert.optimizer_evidence, value=cert.maassen_uffink - below)
+        assert dataclasses.replace(cert, optimizer_evidence=evidence).infimum_consistent is consistent
+
+    @pytest.mark.parametrize("value, builds", [(-0.9e-9, True), (-1.1e-9, False)])
+    def test_a_negative_infimum_builds_only_within_1e_9(self, value, builds):
+        cert = self.pauli_cert()
+        evidence = dataclasses.replace(cert.optimizer_evidence, value=value)
+        if builds:
+            assert dataclasses.replace(cert, optimizer_evidence=evidence).numeric_infimum == value
+        else:
+            with pytest.raises(ValueError, match="negative entropy infimum"):
+                dataclasses.replace(cert, optimizer_evidence=evidence)

@@ -555,6 +555,8 @@ BOUNDARY_CASES = [
     pytest.param("die", _FACE + ("6",), "6", [], "variables.face_value.values", id="variable-value-string"),
     pytest.param("fourier2", ("partitions", "fine"), [["1"], [2]], [], "partitions.fine", id="partition-string"),
     pytest.param("fourier2", ("partitions", "fine"), [[True], [2]], [], "partitions.fine", id="partition-true"),
+    pytest.param("fourier2", ("partitions", "fine"), [[1], [math.nan, 2]], [], "partitions.fine", id="partition-nan"),
+    pytest.param("fourier2", ("partitions", "fine"), [[1], [2, math.inf]], [], "partitions.fine", id="partition-inf"),
     pytest.param(
         "fourier2", ("unitary",), {"kind": "explicit", "entries": [[[True, 0], [0, 0]], [[0, 0], [True, False]]]}, [],
         "unitary.entries", id="unitary-entries-true",
