@@ -297,10 +297,23 @@ class OptimizerConfig:
         for field, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{field} must be an int >= {least}, got {value!r}")
+                raise ValueError(f"{field} must be an int >= {least}, got {_shown(value)}")
         # an int beyond the float range is not finite here: it has no float
         if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) or not 0 < self.tol <= sys.float_info.max:
-            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
+            raise ValueError(f"tol must be a finite number > 0, got {_shown(self.tol)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or for a number that holds an int past Python's limit
+    on the digits of an int's string, its sign and the number of digits of
+    its integer part."""
+    try:
+        return repr(value)
+    except ValueError:
+        size = max(abs(int(value)), 1)  # a Fraction's integer part may be 0
+        digits = int(math.log10(size)) + 1  # the float log may round across a power of 10
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        return f"{'a negative' if value < 0 else 'a'} number of {digits} digits"
 
 
 @dataclass(frozen=True)
@@ -348,8 +361,8 @@ def min_entropy_sum(
     One evaluation is one real 4d x 2d product forward, from z to the real
     and imaginary parts of both operators' eigenbasis amplitudes, and its
     transpose back.  All restarts go to one ``scipy.optimize.minimize``
-    call, and each evaluation is one row of one call of the callable handed
-    to it (see ``_lbfgsb``).
+    call, whose method ``_lbfgsb`` steps them in one flat loop, and each
+    evaluation is one row of one call of the callable handed to it.
     Restarts are drawn from ``default_rng(opt.seed)`` and merged by
     lowest value; end values within 1e-12 relative of the lowest tie, and
     the lowest restart index wins, so the result is deterministic for a
@@ -358,40 +371,23 @@ def min_entropy_sum(
     return _min_entropy_sum(*_decompose(a, b, eps, delta), opt or OptimizerConfig())
 
 
-def _lbfgsb_row(x, maxiter, factr, gtol):
-    """One restart of the kernel loop, as a generator: it yields each new
-    point at which it needs f and g, is sent back (f, g), and returns
-    (fun, nit, nfev, success).  The kernel updates ``x`` in place."""
-    from scipy.optimize._lbfgsb import setulb  # scipy >= 1.15
+class _KernelRow:
+    """One problem of ``_lbfgsb``: its row ``k``, ``x`` (a view of that row,
+    moved in place by the kernel), the kernel's work arrays, the ``f`` and
+    float64 ``g`` its next call gets, the memo ``seen``, ``fg`` and counts."""
 
-    m, maxls, maxfun = 10, 20, 15000
-    n = x.size
-    seen = x.copy()  # the last point evaluated, and its value and gradient
-    fg = yield seen
-    nfev, nit = 1, 0
-    f, g = 0.0, np.zeros(n)  # what the kernel's first call gets, as in scipy's loop
-    nbd, free = np.zeros(n, np.int32), np.zeros(n)  # nbd 0: no variable is bounded
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
-    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
-    while True:
-        g = g.astype(np.float64)
-        setulb(m, x, free, free, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, maxls, ln_task)
-        if task[0] == 3:  # the kernel asks for f and g at x
-            if not np.array_equal(x, seen):
-                seen = x.copy()
-                fg = yield seen
-                nfev += 1
-            f, g = fg
-        elif task[0] == 1:  # a new iterate
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504
-            elif nfev > maxfun:
-                task[:] = 5, 502
-        else:
-            return f, nit, nfev, task[0] == 4
+    __slots__ = ("k", "x", "wa", "iwa", "task", "ln_task", "lsave", "isave", "dsave", "f", "g", "seen", "fg",
+                 "nfev", "nit")
+
+    def __init__(self, k, x, m):
+        n = x.size
+        self.k, self.x, self.seen = k, x, x.tolist()  # it asks for f and g at x0 first
+        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task, self.ln_task, self.lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+        self.isave, self.dsave = np.zeros(44, np.int32), np.zeros(29)
+        self.f, self.g = 0.0, np.zeros(n)  # what the kernel's first call gets, as in scipy's loop
+        self.nfev = self.nit = 0
 
 
 def _lbfgsb(fun, x0, *, maxiter, ftol, gtol, rows, **_):
@@ -401,52 +397,66 @@ def _lbfgsb(fun, x0, *, maxiter, ftol, gtol, rows, **_):
     ``x0`` holds the rows' starting points one after another (``minimize``
     takes a 1-d ``x0``).  Each row runs scipy's C kernel ``setulb`` (Zhu et
     al. 1997) under the loop of scipy 1.17.1's ``_minimize_lbfgsb``, with
-    no bounds and its own kernel state.  It keeps that loop's settings
-    (maxcor 10, maxls 20, maxfun 15000, factr = ftol / eps), its one
-    evaluation at the start before the loop, its memo of the last point
-    under ``np.array_equal`` and its float64 copy of the gradient before
-    each kernel call, so every row's ``x``, ``fun``, ``nit``, ``nfev`` and
-    ``success`` are bit for bit those of scipy's ``"L-BFGS-B"`` with
-    ``jac=True`` on that row alone.
+    no bounds and its own ``_KernelRow``.  It keeps that loop's settings
+    (maxcor 10, maxls 20, maxfun 15000, factr = ftol / eps), its evaluation
+    at x0 before the kernel's first call, which gets f = 0 and g = 0, its
+    memo of the last point (``x.tolist() == seen`` is ``np.array_equal``:
+    NaN unequal, -0.0 equal to 0.0) and its float64 copy of g, which the
+    kernel may write into: the row's own ``g``, refilled at each answer and
+    memo hit, never an array ``fun`` returned.  So every row's ``x``,
+    ``fun``, ``nit``, ``nfev`` and ``success`` are bit for bit those of
+    scipy's ``"L-BFGS-B"`` with ``jac=True`` on that row alone.
 
-    Each row steps until it asks for f and g at a new point or stops.  The
-    rows that asked then go to ``fun`` as one stack, a 2-d array with one
-    point per row, and ``fun`` returns their values and gradients, one per
-    row; so every evaluation is one row of one call of ``fun``, where
-    counters wrapped around ``minimize`` see it, and a row's ``nfev``
-    counts its rows.  A row that stops leaves the stack while the
-    others go on.  At most ``MAX_STACK_ROWS`` rows hold kernel state at
-    once; each row that stops makes room for the next.  The result holds
-    one entry per row: ``x`` of shape (rows, n), and ``fun``, ``nit``,
-    ``nfev`` and ``success`` of shape (rows,).  ``**_`` takes the
-    arguments ``minimize`` passes that an unbounded L-BFGS-B does not
-    use."""
+    One flat loop runs in rounds: the rows that ask for f and g go to
+    ``fun`` as one stack, a 2-d array with one point per row, and ``fun``
+    returns their values and gradients, one per row; then each steps its
+    kernel until it asks again at a new point or stops.  So every
+    evaluation is one row of one call of ``fun``, where counters wrapped
+    around ``minimize`` see it, and a row's ``nfev`` counts its rows.  At
+    most ``MAX_STACK_ROWS`` rows hold kernel state at once; a row that
+    stops makes room for the next, which asks in the next round.  The
+    result holds one entry per row: ``x`` of shape (rows, n), and ``fun``,
+    ``nit``, ``nfev`` and ``success`` of shape (rows,).  ``**_`` takes the
+    arguments ``minimize`` passes that an unbounded L-BFGS-B does not use."""
     from scipy.optimize import OptimizeResult
+    from scipy.optimize._lbfgsb import setulb  # scipy >= 1.15
 
+    m, maxls, maxfun = 10, 20, 15000
     x = np.array(x0, dtype=np.float64).reshape(rows, -1)
+    nbd, free = np.zeros(x.shape[1], np.int32), np.zeros(x.shape[1])  # nbd 0: no variable is bounded
     factr = float(ftol) / sys.float_info.epsilon  # inf, not an overflow warning, for a huge ftol
     ends = [None] * rows
-    queued = iter(range(rows))
-    live, asks = {}, {}  # row -> its loop, and the point it asks f and g at
-
-    def start(k):
-        live[k] = _lbfgsb_row(x[k], maxiter, factr, gtol)
-        asks[k] = next(live[k])
-
-    for k in itertools.islice(queued, MAX_STACK_ROWS):
-        start(k)
-    while asks:
-        stack, asks = asks, {}
-        points = list(stack.values())
-        values, grads = fun(points[0][None] if len(points) == 1 else np.array(points))
-        for k, f, g in zip(stack, values, grads):
-            try:
-                asks[k] = live[k].send((f, g))
-            except StopIteration as stop:
-                ends[k] = stop.value
-                del live[k]
-                for j in itertools.islice(queued, 1):
-                    start(j)
+    queued = (_KernelRow(k, x[k], m) for k in range(rows))
+    asking = list(itertools.islice(queued, MAX_STACK_ROWS))
+    while asking:
+        stack, asking = asking, []
+        values, grads = fun(x.take([row.k for row in stack], 0))
+        for row, f, g in zip(stack, values, grads):
+            row.nfev += 1
+            row.fg = f, g
+            if row.task[0] == 3:  # an answer; the x0 evaluation precedes the kernel's first call
+                row.f, row.g[:] = f, g
+            while True:
+                setulb(m, row.x, free, free, nbd, row.f, row.g, factr, gtol, row.wa, row.iwa, row.task,
+                       row.lsave, row.isave, row.dsave, maxls, row.ln_task)
+                task = row.task.item(0)
+                if task == 3:  # the kernel asks for f and g at x
+                    point = row.x.tolist()
+                    if point != row.seen:
+                        row.seen = point
+                        asking.append(row)
+                        break
+                    row.f, row.g[:] = row.fg
+                elif task == 1:  # a new iterate
+                    row.nit += 1
+                    if row.nit >= maxiter:
+                        row.task[:] = 5, 504
+                    elif row.nfev > maxfun:
+                        row.task[:] = 5, 502
+                else:
+                    ends[row.k] = row.f, row.nit, row.nfev, task == 4
+                    asking.extend(itertools.islice(queued, 1))
+                    break
     f, nit, nfev, success = (np.array(col) for col in zip(*ends))
     return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, success=success)
 
@@ -465,7 +475,7 @@ def _min_entropy_sum(wa, idx_a, wb, idx_b, opt: OptimizerConfig) -> MinEntropyRe
     All restarts go to one ``scipy.optimize.minimize`` call with
     ``method=_lbfgsb`` and ``rows=opt.restarts``, handed ``stacked``;
     ``minimize`` passes it and the options straight to ``_lbfgsb``, whose
-    per-row ``nfev`` and ``nit`` are the restarts' counts.
+    ``_KernelRow`` per restart counts that restart's ``nfev`` and ``nit``.
     """
     from scipy.optimize import minimize  # 0.4-0.75 s to import; most runs never optimise
 

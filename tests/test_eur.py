@@ -1,6 +1,7 @@
 """Spectrum partitions, entropic bounds, the entropy-sum optimizer, certification."""
 
 import dataclasses
+import fractions
 import math
 import sys
 import tracemalloc
@@ -526,7 +527,17 @@ class TestMinEntropySum:
         assert res.best_restart == 0
         assert abs(res.value - math.log(d)) <= 1e-12
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, pytest.param(10**400, id="int-beyond-float")])
+    @pytest.mark.parametrize(
+        "tol",
+        [
+            math.nan,
+            math.inf,
+            0.0,
+            -1.0,
+            pytest.param(10**400, id="int-beyond-float"),
+            pytest.param(10**5000, id="int-too-long-to-print"),
+        ],
+    )
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tol"):
             OptimizerConfig(restarts=4, tol=tol)
@@ -549,6 +560,7 @@ class TestMinEntropySum:
             ("restarts", 0),
             ("restarts", 2.5),
             ("restarts", True),
+            pytest.param("restarts", -(10**5000), id="restarts-int-too-long-to-print"),
             ("max_iters", 0),
             ("max_iters", 2.5),
             ("max_iters", math.inf),
@@ -565,6 +577,39 @@ class TestMinEntropySum:
             OptimizerConfig(**{"restarts": 4, field: value})
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(OptimizerConfig(restarts=4), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            pytest.param("tol", 10**5000, "a number of 5001 digits", id="tol-10**5000"),
+            pytest.param("tol", 10**5000 - 1, "a number of 5000 digits", id="tol-10**5000-1"),
+            pytest.param("tol", fractions.Fraction(10**5000, 3), "a number of 5000 digits", id="tol-10**5000/3"),
+            pytest.param("tol", fractions.Fraction(-1, 10**5000), "a negative number of 1 digits", id="tol--1/10**5000"),
+            pytest.param("restarts", -(10**5000), "a negative number of 5001 digits", id="restarts--10**5000"),
+            pytest.param("seed", -(10**4300), "a negative number of 4301 digits", id="seed--10**4300"),
+        ],
+    )
+    def test_a_number_too_long_to_print_is_shown_by_its_digits(self, field, value, shown):
+        # Python will not turn an int of more than 4,300 digits into a
+        # string, so the message counts the digits of the number's integer
+        # part instead of showing them
+        with pytest.raises(ValueError) as err:
+            OptimizerConfig(**{"restarts": 4, field: value})
+        assert str(err.value).startswith(f"{field} must be ") and str(err.value).endswith(f", got {shown}")
+
+    @pytest.mark.parametrize("end, value", [(5e-13, 0.0), (1e-12, 0.0), (5e-10, 5e-10), (2e-12, 2e-12)])
+    def test_an_end_value_within_1e_12_of_zero_reads_zero(self, monkeypatch, end, value):
+        # A stand-in kernel ends every restart at ``end``: up to 1e-12 reads
+        # 0.0, and above it the end value stands, 5e-10 (below 1e-9) too.
+        def ends_at(fun, x0, *, rows, **_):
+            ones = np.ones(rows, dtype=int)
+            return scipy.optimize.OptimizeResult(
+                x=np.reshape(x0, (rows, -1)), fun=np.full(rows, end), nit=ones, nfev=ones, success=ones == 1
+            )
+
+        monkeypatch.setattr(ncprob_eur, "_lbfgsb", ends_at)
+        res = min_entropy_sum(*pauli_pair(), PM, PM, OptimizerConfig(restarts=3))
+        assert (res.value, res.best_restart) == (value, 0)
 
     def test_numpy_integer_counts_and_seed_are_accepted(self):
         a, b = fourier_pair(4)
@@ -711,6 +756,20 @@ class TestEntropySumGradient:
         for value, grad in both_paths(fun, np.random.default_rng(81).standard_normal((3, 4))):
             assert abs(value) <= 1e-12
             assert np.linalg.norm(grad) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_the_zero_vector_is_above_every_entropy_sum(self, monkeypatch, d):
+        # No state has z = 0 (or |z|^2 < 1e-24): the objective must rank it
+        # above every entropy sum, which never exceeds ln d + ln d, and
+        # send the kernel nowhere, on a one-row stack and in a stack.
+        a, b = fourier_pair(d)
+        part = SpectrumPartition.singletons(range(1, d + 1))
+        fun = captured_objective(monkeypatch, a, b, part, part)
+        tiny = [np.zeros(2 * d), np.full(2 * d, 1e-13)]
+        in_a_stack = stack_rows(fun, tiny + [np.random.default_rng(d).standard_normal(2 * d)])[:2]
+        for value, grad in in_a_stack + [one_row(fun)(z) for z in tiny]:
+            assert value > 2.0 * math.log(d)
+            assert not np.any(grad)
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     @pytest.mark.parametrize("diagonal_first", [True, False])
@@ -887,6 +946,63 @@ class TestLbfgsbKernelLoop:
         x0s = 3.0 * rng.standard_normal((rows, n))
         options = {"maxiter": maxiter, "ftol": 10.0**log_ftol, "gtol": 10.0**log_gtol}
         self.assert_rows_match(lambda xs: tuple(zip(*map(fg, xs))), fg, x0s, options, cap)
+
+    def test_the_kernels_writes_never_reach_a_gradient_fun_returned(self, monkeypatch):
+        # When a line search fails near convergence, setulb copies the last
+        # iterate's gradient back into the g it was handed.  That g must be
+        # the loop's own float64 copy, as in scipy's loop, and never an
+        # array ``fun`` returned, which the memo of the last point reuses.
+        from scipy.optimize import _lbfgsb as kernel
+
+        real, writes, returned = kernel.setulb, [], []
+
+        def setulb(m, x, low, up, nbd, f, g, *rest):
+            before = g.tobytes()
+            real(m, x, low, up, nbd, f, g, *rest)
+            writes.append(g.tobytes() != before)
+
+        def stacked(xs):
+            values, grads = zip(*map(fg, xs))
+            returned.extend((g, g.tobytes()) for g in grads)
+            return values, grads
+
+        monkeypatch.setattr(kernel, "setulb", setulb)
+        rng = np.random.default_rng(3)
+        fg = _smooth_objective(rng, 4)
+        options = {"maxiter": 200, "ftol": 2.3e-16, "gtol": 1e-12, "rows": 4}
+        scipy.optimize.minimize(stacked, 3.0 * rng.standard_normal(16), method=ncprob_eur._lbfgsb, options=options)
+        assert any(writes)
+        assert all(g.tobytes() == kept for g, kept in returned)
+
+    def test_each_kernel_call_gets_what_scipys_loop_hands_it(self, monkeypatch):
+        # Call by call, each row's kernel gets the x, f and g that scipy's
+        # loop hands it on that row alone: f = 0 and g = 0 at the first call
+        # (the kernel reads neither there, so no end result shows them), then
+        # the last evaluation's or the memo's value and gradient, with the
+        # kernel's own writes.
+        from scipy.optimize import _lbfgsb as kernel
+
+        real, calls = kernel.setulb, {}
+
+        def setulb(m, x, low, up, nbd, f, g, *rest):
+            calls.setdefault(x.ctypes.data, []).append((x.tobytes(), np.float64(f).tobytes(), g.tobytes()))
+            real(m, x, low, up, nbd, f, g, *rest)
+
+        monkeypatch.setattr(kernel, "setulb", setulb)
+        rng = np.random.default_rng(3)
+        fg = _smooth_objective(rng, 4)
+        x0s = 3.0 * rng.standard_normal((4, 4))
+        options = {"maxiter": 200, "ftol": 2.3e-16, "gtol": 1e-12}
+        got = scipy.optimize.minimize(
+            lambda xs: tuple(zip(*map(fg, xs))), x0s.ravel(), method=ncprob_eur._lbfgsb, options={**options, "rows": 4}
+        )
+        rows = [calls.pop(row.ctypes.data) for row in got.x]
+        for k, x0 in enumerate(x0s):
+            scipy.optimize.minimize(fg, x0, method="L-BFGS-B", jac=True, options=options)
+            (alone,) = calls.values()
+            assert rows[k][0][1:] == (np.float64(0.0).tobytes(), np.zeros(4).tobytes())
+            assert rows[k] == alone
+            calls.clear()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
